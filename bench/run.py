@@ -34,18 +34,13 @@ import workloads
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-SETUP_REPEATS = 9
 MODEL_SAMPLES = 60
 MODULES = ("syntax", "terms", "normalize", "decide", "evaluate", "partial", "translate",
            "theories", "cli")
 
 
-def fresh_import() -> SimpleNamespace:
-    """Import the program as a new process would, dropping any earlier import."""
-    for name in [n for n in sys.modules if n == "meadows" or n.startswith("meadows.")]:
-        del sys.modules[name]
-    importlib.import_module("meadows")
-    return SimpleNamespace(**{n: importlib.import_module(f"meadows.{n}") for n in MODULES})
+def program_modules() -> dict:
+    return {n: mod for n, mod in sys.modules.items() if n == "meadows" or n.startswith("meadows.")}
 
 
 def input_texts(inputs: dict) -> list[str]:
@@ -59,10 +54,30 @@ def input_texts(inputs: dict) -> list[str]:
 
 
 def setup(inputs: dict):
-    """One set-up: import the program and parse every input text."""
-    m = fresh_import()
+    """One timed set-up: import the program as a new process would, and parse every input."""
+    for name in program_modules():
+        del sys.modules[name]
+    gc.collect()  # start from a heap without the last set-up's leftovers
+    start = time.perf_counter()
+    importlib.import_module("meadows")
+    m = SimpleNamespace(**{n: importlib.import_module(f"meadows.{n}") for n in MODULES})
     parsed = {text: m.syntax.parse(text).term for text in input_texts(inputs)}
-    return m, parsed
+    return m, parsed, time.perf_counter() - start
+
+
+def setup_sample(inputs: dict) -> float:
+    """Time one more set-up, then put the run's own import of the program back.
+
+    The operations hold the first import's modules, and functions that
+    import lazily at call time must keep finding those same modules.
+    """
+    kept = program_modules()
+    seconds = setup(inputs)[2]
+    for name in program_modules():
+        del sys.modules[name]
+    sys.modules.update(kept)
+    gc.collect()
+    return seconds
 
 
 class Round:
@@ -103,34 +118,34 @@ def median(xs):
     return statistics.median(xs)
 
 
-def p50(r: Round, metric: str) -> float:
-    """Geometric mean, over the operations of one kind, of each one's median time.
-
-    Each operation has its own input, so a plain median over all of them
-    would jump between the plateaus of the fixed-shape inputs as the
-    count of rounds changes; this summary moves smoothly and weighs every
-    input the same.
-    """
-    medians = [median(s) for op, s in zip(r.ops, r.samples) if op.metric == metric and s]
-    return statistics.geometric_mean(medians)
-
-
 def end_to_end(r: Round, setup_s: float) -> dict:
+    """The end-to-end metrics from each operation's best time over the run's rounds.
+
+    The machine's speed drifts by tens of percent within seconds, and the
+    drift only ever slows a call down, so the best of several rounds is
+    the steadiest estimate of what a call costs.  A ``*_p50_*`` metric is
+    the median of these best times over the operations of its kind.
+    """
+    best = [(op.metric, min(s)) for op, s in zip(r.ops, r.samples) if s]
+
+    def p50(metric, scale):
+        return median([t for m, t in best if m == metric]) * scale
+
     ms, us = 1e3, 1e6
-    roundtrips = [x for op, s in zip(r.ops, r.samples) if op.metric == "roundtrip" for x in s]
+    roundtrips = [t for m, t in best if m == "roundtrip"]
     values = {
         "setup_s": (setup_s, "s"),
-        "run_s": (median(r.round_s), "s"),
-        "iamd_true_p50_ms": (p50(r, "iamd_true") * ms, "ms"),
-        "iamd_false_p50_ms": (p50(r, "iamd_false") * ms, "ms"),
-        "gil_true_p50_ms": (p50(r, "gil_true") * ms, "ms"),
-        "gil_false_p50_ms": (p50(r, "gil_false") * ms, "ms"),
-        "normalize_p50_ms": (p50(r, "normalize") * ms, "ms"),
-        "closed_p50_us": (p50(r, "closed") * us, "us"),
-        "eval_p50_us": (p50(r, "eval") * us, "us"),
-        "check_model_p50_ms": (p50(r, "check_model") * ms, "ms"),
-        "cli_cold_p50_ms": (p50(r, "cli_cold") * ms, "ms"),
-        "cli_main_p50_ms": (p50(r, "cli_main") * ms, "ms"),
+        "run_s": (sum(t for _, t in best), "s"),
+        "iamd_true_p50_ms": (p50("iamd_true", ms), "ms"),
+        "iamd_false_p50_ms": (p50("iamd_false", ms), "ms"),
+        "gil_true_p50_ms": (p50("gil_true", ms), "ms"),
+        "gil_false_p50_ms": (p50("gil_false", ms), "ms"),
+        "normalize_p50_ms": (p50("normalize", ms), "ms"),
+        "closed_p50_us": (p50("closed", us), "us"),
+        "eval_p50_us": (p50("eval", us), "us"),
+        "check_model_p50_ms": (p50("check_model", ms), "ms"),
+        "cli_cold_p50_ms": (p50("cli_cold", ms), "ms"),
+        "cli_main_p50_ms": (p50("cli_main", ms), "ms"),
         "roundtrip_per_s": (len(roundtrips) / sum(roundtrips), "1/s"),
         "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MB"),
     }
@@ -161,13 +176,7 @@ def main(argv=None) -> int:
     compileall.compile_dir(str(SRC / "meadows"), quiet=1)
     sys.path.insert(0, str(SRC))
 
-    setup_times = []
-    for _ in range(SETUP_REPEATS):
-        m = parsed = None
-        gc.collect()  # each set-up starts from a heap without the last one's leftovers
-        start = time.perf_counter()
-        m, parsed = setup(inputs)
-        setup_times.append(time.perf_counter() - start)
+    m, parsed, first_setup_s = setup(inputs)
     api = ops.make_api(m)
     op_list = ops.prepare(inputs, m, api, parsed, str(SRC), str(ROOT), MODEL_SAMPLES)
     # The inputs, the program's modules and the benchmark live for the whole
@@ -208,8 +217,12 @@ def main(argv=None) -> int:
             rounds.mismatches += other.mismatches
             rounds.failures.update(other.failures)
     else:
+        # One more set-up after every round samples set-up across the whole
+        # run, as the rounds sample the operations, not at one moment.
+        setup_times = [first_setup_s]
         while True:
             rounds.run()
+            setup_times.append(setup_sample(inputs))
             if args.smoke or time.perf_counter() >= deadline:
                 break
         metrics = end_to_end(rounds, median(setup_times))

@@ -4,8 +4,8 @@ Every input is built here as a small tuple tree (see ``reference``) and
 handed to the program only as text in its concrete syntax, so the
 program sees nothing but generated inputs.  The trees stay with the
 benchmark and feed the reference checks.  The same (workload, seed,
-smoke) always gives the same inputs; ``python3 bench/run.py
---print-inputs`` prints them.
+smoke) always gives the same inputs; ``python3 bench/run.py --workload W
+--seed N --print-inputs`` prints them.
 
 The shape of every round (how many operations of each kind, and which
 fixed-shape terms) never depends on the seed: the seed picks variable
