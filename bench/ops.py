@@ -40,6 +40,7 @@ class Op:
     name: str
     call: Callable[[], Any]
     check: Callable[[Any], None]
+    heavy: bool = False  # run once per round; every other op runs the workload's repeat times
 
 
 def make_api(m: SimpleNamespace) -> SimpleNamespace:
@@ -314,14 +315,16 @@ def prepare(inputs: dict, m: SimpleNamespace, api: SimpleNamespace, parsed: dict
             fraction = api.split_inverse(t)
             return fraction, fraction.render()
         ops.append(Op("normalize", "split_inverse", normalize,
-                      lambda r, tree=tree, s=item.get("coeff_sum"): check_split(tree, r[0], r[1], s)))
+                      lambda r, tree=tree, s=item.get("coeff_sum"): check_split(tree, r[0], r[1], s),
+                      item.get("heavy", False)))
 
     for family, carrier in (("iamd", "pos"), ("gil", "nonneg"), ("gil_small", "nonneg")):
         for item in inputs[family]:
             call = _decide_call(api, m, item["theory"], term(item["lhs"]), term(item["rhs"]))
             metric = f"{family}_{'true' if item['expect'] else 'false'}" if family != "gil_small" else ""
             ops.append(Op(metric, item["theory"], call,
-                          lambda d, item=item, c=carrier: check_decision(item, d, c)))
+                          lambda d, item=item, c=carrier: check_decision(item, d, c),
+                          item.get("heavy", False)))
 
     for i, (theory, carrier) in enumerate(inputs["check_model"]):
         th, c = m.theories.TheoryId(theory), m.evaluate.Carrier(carrier)
@@ -339,21 +342,26 @@ def prepare(inputs: dict, m: SimpleNamespace, api: SimpleNamespace, parsed: dict
 
     for item in inputs["deep"]:
         ops.append(_deep_op(item, m, api, parsed, src, cwd))
-    return interleave(ops)
+    return interleave(ops, inputs["repeat"])
 
 
-def interleave(op_list: list[Op]) -> list[Op]:
-    """Spread each kind of operation evenly over the round.
+def interleave(op_list: list[Op], repeat: int) -> list[Op]:
+    """The round: each light op ``repeat`` times, each heavy op once, all spread evenly.
 
-    The machine's speed drifts over seconds; spreading every kind over the
-    whole round lets each latency median see the same mix of fast and slow
-    stretches instead of one stretch per kind.
+    The machine's speed drifts over seconds; spreading every kind, and
+    every copy of an op, over the whole round lets each op's samples see
+    the same mix of fast and slow stretches instead of one stretch.  The
+    copies give the light ops of a workload with a few long calls enough
+    samples per run.
     """
     groups: dict[str, list[Op]] = {}
     for op in op_list:
         groups.setdefault(op.name, []).append(op)
-    keyed = [((i + 0.5) / len(group), k, op)
-             for k, group in enumerate(groups.values()) for i, op in enumerate(group)]
+    keyed = []
+    for k, group in enumerate(groups.values()):
+        for i, op in enumerate(group):
+            copies = 1 if op.heavy else repeat
+            keyed += [((j + (i + 0.5) / len(group)) / copies, k, op) for j in range(copies)]
     return [op for _, _, op in sorted(keyed, key=lambda x: x[:2])]
 
 

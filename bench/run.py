@@ -4,10 +4,11 @@
     python3 bench/run.py --workload term-mix --seed 1 --print-inputs
     python3 bench/run.py --workload gil-split --seed 1 --smoke
 
-A run imports the program from ``src/`` of the checkout it sits in, sets
-it up several times (fresh import plus parsing every input text), then
+A run imports the program from ``src/`` of the checkout it sits in, then
 repeats whole rounds of the workload's operations, one caller and no
-threads, until ``--seconds`` have passed.  Each operation's output is
+threads, until ``--seconds`` have passed; with ``--trace 0`` it times
+three set-ups (import plus parsing every input text, each in a fresh
+interpreter) after every round.  Each operation's output is
 checked against the reference semantics in ``reference.py``.  The last
 line of standard output is one JSON object with ``correct``,
 ``attempted``, ``failed`` and ``metrics``: the end-to-end metrics with
@@ -23,6 +24,7 @@ import importlib
 import json
 import resource
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -35,12 +37,9 @@ import workloads
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 MODEL_SAMPLES = 60
+SETUPS_PER_ROUND = 3
 MODULES = ("syntax", "terms", "normalize", "decide", "evaluate", "partial", "translate",
            "theories", "cli")
-
-
-def program_modules() -> dict:
-    return {n: mod for n, mod in sys.modules.items() if n == "meadows" or n.startswith("meadows.")}
 
 
 def input_texts(inputs: dict) -> list[str]:
@@ -54,38 +53,50 @@ def input_texts(inputs: dict) -> list[str]:
 
 
 def setup(inputs: dict):
-    """One timed set-up: import the program as a new process would, and parse every input."""
-    for name in program_modules():
-        del sys.modules[name]
-    gc.collect()  # start from a heap without the last set-up's leftovers
-    start = time.perf_counter()
+    """Import the program and parse every input, for the operations to use."""
     importlib.import_module("meadows")
     m = SimpleNamespace(**{n: importlib.import_module(f"meadows.{n}") for n in MODULES})
     parsed = {text: m.syntax.parse(text).term for text in input_texts(inputs)}
-    return m, parsed, time.perf_counter() - start
+    return m, parsed
 
 
-def setup_sample(inputs: dict) -> float:
-    """Time one more set-up, then put the run's own import of the program back.
+# One timed set-up in a fresh interpreter: the input texts come on stdin,
+# the seconds that importing the program and parsing them took go to stdout.
+SETUP_CHILD = f"""
+import importlib, json, sys, time
+texts = json.load(sys.stdin)
+start = time.perf_counter()
+syntax = importlib.import_module("meadows.syntax")
+for name in {MODULES!r}:
+    importlib.import_module("meadows." + name)
+for text in texts:
+    syntax.parse(text)
+print(time.perf_counter() - start)
+"""
 
-    The operations hold the first import's modules, and functions that
-    import lazily at call time must keep finding those same modules.
+
+def setup_sample(texts: list[str]) -> float:
+    """Time one set-up as a new process makes it: import the program, parse every input.
+
+    A fresh interpreter each time, so set-ups neither find the program's
+    modules already imported nor leave their garbage in this process,
+    whose peak memory is a metric.
     """
-    kept = program_modules()
-    seconds = setup(inputs)[2]
-    for name in program_modules():
-        del sys.modules[name]
-    sys.modules.update(kept)
-    gc.collect()
-    return seconds
+    proc = subprocess.run([sys.executable, "-c", SETUP_CHILD], input=json.dumps(texts),
+                          env=ops.cold_env(str(SRC)), cwd=ROOT, capture_output=True, text=True,
+                          timeout=120, check=True)
+    return float(proc.stdout)
 
 
 class Round:
-    """Timings, counts and check results of the rounds run so far on one op list."""
+    """Timings, counts and check results of the rounds run so far on one op list.
+
+    An op may occur several times in the list; its samples are pooled.
+    """
 
     def __init__(self, op_list):
         self.ops = op_list
-        self.samples: list[list[float]] = [[] for _ in op_list]
+        self.samples: dict[int, list[float]] = {id(op): [] for op in op_list}
         self.round_s: list[float] = []
         self.attempted = 0
         self.failed = 0
@@ -95,7 +106,8 @@ class Round:
     def run(self) -> None:
         """One pass over the op list: time each call, then check its output."""
         busy = 0.0
-        for op, samples in zip(self.ops, self.samples):
+        for op in self.ops:
+            samples = self.samples[id(op)]
             self.attempted += 1
             start = time.perf_counter()
             try:
@@ -113,29 +125,47 @@ class Round:
                 self.mismatches.append(f"{op.name}: {type(exc).__name__}: {exc}"[:300])
         self.round_s.append(busy)
 
+    def op_times(self) -> list[tuple[str, float]]:
+        """(metric, loaded time of its samples) for each distinct op that ran."""
+        distinct = {id(op): op for op in self.ops}
+        return [(op.metric, loaded(self.samples[key]))
+                for key, op in distinct.items() if self.samples[key]]
+
 
 def median(xs):
     return statistics.median(xs)
 
 
-def end_to_end(r: Round, setup_s: float) -> dict:
-    """The end-to-end metrics from each operation's best time over the run's rounds.
+def loaded(xs):
+    """The upper quartile of a run's samples: the time at the machine's usual, loaded speed.
 
-    The machine's speed drifts by tens of percent within seconds, and the
-    drift only ever slows a call down, so the best of several rounds is
-    the steadiest estimate of what a call costs.  A ``*_p50_*`` metric is
-    the median of these best times over the operations of its kind.
+    The machine runs most seconds at one speed and some stretches up to
+    1.6 times faster, for as much as half of a run.  The upper quartile
+    stays with the usual speed as long as a quarter of the samples see it;
+    the median already follows the fast stretches when they fill half the
+    run, and the minimum follows them whenever they occur.
     """
-    best = [(op.metric, min(s)) for op, s in zip(r.ops, r.samples) if s]
+    return statistics.quantiles(xs, n=4, method="inclusive")[2] if len(xs) > 1 else xs[0]
+
+
+def end_to_end(r: Round, setup_s: float) -> dict:
+    """The end-to-end metrics from each operation's loaded time over the run.
+
+    Each op's samples are spread over the whole run, and ``loaded`` takes
+    their upper quartile.  A ``*_p50_*`` metric is the median of these
+    times over the operations of its kind, that is, over the workload's
+    inputs of that kind; ``run_s`` is their sum.
+    """
+    times = r.op_times()
 
     def p50(metric, scale):
-        return median([t for m, t in best if m == metric]) * scale
+        return median([t for m, t in times if m == metric]) * scale
 
     ms, us = 1e3, 1e6
-    roundtrips = [t for m, t in best if m == "roundtrip"]
+    roundtrips = [t for m, t in times if m == "roundtrip"]
     values = {
         "setup_s": (setup_s, "s"),
-        "run_s": (sum(t for _, t in best), "s"),
+        "run_s": (sum(t for _, t in times), "s"),
         "iamd_true_p50_ms": (p50("iamd_true", ms), "ms"),
         "iamd_false_p50_ms": (p50("iamd_false", ms), "ms"),
         "gil_true_p50_ms": (p50("gil_true", ms), "ms"),
@@ -176,7 +206,7 @@ def main(argv=None) -> int:
     compileall.compile_dir(str(SRC / "meadows"), quiet=1)
     sys.path.insert(0, str(SRC))
 
-    m, parsed, first_setup_s = setup(inputs)
+    m, parsed = setup(inputs)
     api = ops.make_api(m)
     op_list = ops.prepare(inputs, m, api, parsed, str(SRC), str(ROOT), MODEL_SAMPLES)
     # The inputs, the program's modules and the benchmark live for the whole
@@ -217,15 +247,16 @@ def main(argv=None) -> int:
             rounds.mismatches += other.mismatches
             rounds.failures.update(other.failures)
     else:
-        # One more set-up after every round samples set-up across the whole
-        # run, as the rounds sample the operations, not at one moment.
-        setup_times = [first_setup_s]
+        # Set-ups after every round sample set-up across the whole run, as
+        # the rounds sample the operations, not at one moment.
+        texts = input_texts(inputs)
+        setup_times = []
         while True:
             rounds.run()
-            setup_times.append(setup_sample(inputs))
+            setup_times += [setup_sample(texts) for _ in range(SETUPS_PER_ROUND)]
             if args.smoke or time.perf_counter() >= deadline:
                 break
-        metrics = end_to_end(rounds, median(setup_times))
+        metrics = end_to_end(rounds, loaded(setup_times))
 
     for name, message in rounds.failures.items():
         print(f"failed: {name}: {message}", file=sys.stderr)

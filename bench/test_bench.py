@@ -72,6 +72,14 @@ def test_round_shape_does_not_depend_on_the_seed(workload):
     assert shape(1) == shape(2) == shape(99)
 
 
+def test_round_runs_each_light_op_repeat_times_and_each_heavy_op_once():
+    from ops import Op, interleave
+    light = [Op("eval", "eval_total", None, None), Op("eval", "eval_total", None, None)]
+    heavy = Op("iamd_true", "iamd", None, None, heavy=True)
+    round_ = interleave(light + [heavy], 3)
+    assert [sum(x is op for x in round_) for op in light + [heavy]] == [3, 3, 1]
+
+
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)
 def test_generated_equations_are_true_or_false_as_labelled(workload):
     inputs = workloads.build(workload, 5, smoke=True)

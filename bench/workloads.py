@@ -19,9 +19,15 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from reference import ADD, DIV, INV, MUL, NEG, POW, evaluate, variables
+from reference import ADD, DIV, INV, MUL, NEG, POW, evaluate, tokens, variables
 
 WORKLOADS = ("poly-expand", "gil-split", "term-mix")
+
+# How many times a round runs each light operation.  The few heavy ones
+# (the ROADMAP product on poly-expand, the true n = 7 GIL equations on
+# gil-split) run once per round and take seconds, so without copies the
+# light operations of those workloads would get only three samples in a run.
+REPEAT = {"poly-expand": 3, "gil-split": 3, "term-mix": 1}
 
 
 # Signature -> allowed operators, whether 0 is a constant, evaluation carrier.
@@ -262,17 +268,39 @@ def _term(tree, env=None, carrier="pos"):
     return item
 
 
+POSITIVE_VALUES = (Fraction(1, 2), Fraction(2, 3), Fraction(3, 2), Fraction(5, 3), Fraction(4, 5))
+
+
 def _positive_env(rng, tree):
     """Fixed values in a seeded order, so every seed evaluates numbers of the same size."""
-    values = [Fraction(1, 2), Fraction(2, 3), Fraction(3, 2), Fraction(5, 3), Fraction(4, 5)]
+    values = list(POSITIVE_VALUES)
     names = sorted(variables(tree))
     rng.shuffle(values)
     return dict(zip(names, values))
 
 
+def _role_env(base, values):
+    """``values`` given to the variables of ``base`` in the order they first occur.
+
+    A medium product's variables occur in the order of their roles, so
+    every seed gets the same numbers in the same places: the same cost.
+    """
+    names = dict.fromkeys(t for t in tokens(base) if isinstance(t, str) and t[0].isalpha())
+    return {v: Fraction(q) for v, q in zip(names, values)}
+
+
 def _nonneg_env(rng, tree):
     return {v: Fraction(rng.choice((0, 0, 1, 2, 3, 5)), rng.randint(1, 4))
             for v in sorted(variables(tree))}
+
+
+def _renamed(tree, names):
+    """``tree`` with each variable ``v`` replaced by ``names[v]``."""
+    if isinstance(tree, str):
+        return names.get(tree, tree)
+    if tree[0] == POW:
+        return (POW, _renamed(tree[1], names), tree[2])
+    return (tree[0], *(_renamed(c, names) for c in tree[1:]))
 
 
 def _closed_instance(tree, env):
@@ -312,7 +340,8 @@ def poly_expand(rng, smoke):
     small = [_medium_pair(rng, ("vv1", 2, "q1", 3, how, fal), nvars=3)
              for how, fal in (("permute", "plus1"), ("cancel", "swap"))]
 
-    iamd = [_equation(big, big_true, True, "iamd"), _equation(big, big_false, False, "iamd")]
+    iamd = [{**_equation(big, big_true, True, "iamd"), "heavy": True},
+            {**_equation(big, big_false, False, "iamd"), "heavy": True}]
     for base, t, f in pairs:
         iamd += [_equation(base, t, True, "iamd"), _equation(base, f, False, "iamd"),
                  _equation(base, t, True, "damd"), _equation(base, f, False, "damd")]
@@ -322,14 +351,13 @@ def poly_expand(rng, smoke):
                 _equation(base, t, True, "ratdaz-gil"), _equation(base, f, False, "ratdaz-gil")]
     # The numerator's coefficient sum is its value at the all-ones point:
     # 5^12 * 4^8 for the ROADMAP product, (x + y + z + w + 1)^12 * (x*y + z*w + x + 1)^8.
-    normalize = [{**_term(big), "coeff_sum": 5**e_f * 4**e_g}] + [_term(t) for _, t, _ in pairs]
+    normalize = ([{**_term(big), "coeff_sum": 5**e_f * 4**e_g, "heavy": True}]
+                 + [_term(t) for _, t, _ in pairs])
     terms = [big, big_true] + [x for pair in pairs for x in pair]
-    evals = [_term(t, _positive_env(rng, t)) for t in terms[2:]]
+    evals = [_term(x, _role_env(base, POSITIVE_VALUES)) for base, t, f in pairs for x in (base, t, f)]
     closed = []
     for base, t, _ in pairs[:4]:
-        values = [1, 2, 2, 3]
-        rng.shuffle(values)
-        env = {v: Fraction(q) for v, q in zip(sorted(variables(base)), values)}
+        env = _role_env(base, (1, 2, 2, 3))
         cb, ct = _closed_instance(base, env), _closed_instance(t, env)
         closed += [_equation(cb, ct, True, "closed:iamd"), _equation(cb, add(ct, "1"), False, "closed:iamd")]
     base, t, f = small[0]
@@ -405,17 +433,22 @@ def _zero_points(names):
     return points
 
 
-def _gil_true_rewrite(rng, t, names):
-    """An iamdz axiom instance applied at the root of ``t``."""
+def _gil_true_rewrite(rng, t, names, k):
+    """The ``k``-th (cyclically) iamdz axiom instance, applied at the root of ``t``.
+
+    The instances cycle rather than being drawn, so every seed has the same
+    mix of them: some grow the term threefold, which the GIL split pays for.
+    """
     v = rng.choice(names)
-    return rng.choice((
+    instances = (
         lambda: add(t, "0"),
         lambda: mul("1", t),
         lambda: inv(inv(t)),
         lambda: mul(t, mul(t, inv(t))),
         lambda: add(mul("0", v), t),
         lambda: mul(t, add("1", "0")),
-    ))()
+    )
+    return instances[k % len(instances)]()
 
 
 def _small_gil_pairs(rng, count):
@@ -423,7 +456,7 @@ def _small_gil_pairs(rng, count):
     pairs = []
     for i in range(count):
         t = _with_all_vars(rng, _random_term(rng, {ADD, MUL, INV}, True, names, 3), names)
-        true_side = _gil_true_rewrite(rng, t, names)
+        true_side = _gil_true_rewrite(rng, t, names, i)
         v = rng.choice(names)
         candidate = mul(t, mul(v, inv(v))) if i % 2 else add(t, mul(v, inv(v)))
         false_side = _certified_false(t, candidate, _zero_points(names))
@@ -437,7 +470,10 @@ def gil_split(rng, smoke):
     small = _small_gil_pairs(rng, 2)
     gil, gil_small = [], []
     for n, lhs, rhs in family:
-        gil += [_equation(lhs, rhs, True, "ratiaz-gil"), _equation(lhs, rhs, True, "ratdaz-gil"),
+        # The largest true case split takes seconds; it runs once per round.
+        heavy = {"heavy": n == sizes[-1]}
+        gil += [{**_equation(lhs, rhs, True, "ratiaz-gil"), **heavy},
+                {**_equation(lhs, rhs, True, "ratdaz-gil"), **heavy},
                 _equation(lhs, numeral_tree(n), False, "ratiaz-gil"),
                 _equation(lhs, add(rhs, "1"), False, "ratdaz-gil")]
     for t, good, bad in small:
@@ -455,9 +491,8 @@ def gil_split(rng, smoke):
             evals.append(_term(t, env, "nonneg"))
     closed = []
     for n, lhs, rhs in family:
-        names = sorted(variables(lhs))
-        env = {v: Fraction(rng.randint(0, 1)) for v in names}
-        env[rng.choice(names)] = Fraction(0)
+        # Every other name is 0, so each seed has the same number of zeros.
+        env = {v: Fraction(i % 2) for i, v in enumerate(sorted(variables(lhs)))}
         cl, cr = _closed_instance(lhs, env), _closed_instance(rhs, env)
         closed += [_equation(cl, cr, True, "closed:iamdz"),
                    _equation(cl, numeral_tree(n), False, "closed:iamdz")]
@@ -560,8 +595,13 @@ def term_mix(rng, smoke):
     for t, good, bad in _iamd_pairs(rng, 2 if smoke else 40):
         iamd += [_equation(t, good, True, "iamd"), _equation(t, bad, False, "iamd"),
                  _equation(t, good, True, "damd"), _equation(t, bad, False, "damd")]
+    # The GIL pairs keep one set of shapes for every seed, and the seed
+    # renames their variables: from pair to pair the split's cost varies
+    # fivefold, so 24 pairs drawn afresh moved their median by 20 % between seeds.
+    rename = dict(zip(names, rng.sample(names, 3)))
     gil = []
-    for t, good, bad in _small_gil_pairs(rng, 2 if smoke else 24):
+    for pair in _small_gil_pairs(random.Random("term-mix/gil"), 2 if smoke else 24):
+        t, good, bad = (_renamed(x, rename) for x in pair)
         gil += [_equation(t, good, True, "ratiaz-gil"), _equation(t, bad, False, "ratiaz-gil"),
                 _equation(t, good, True, "ratdaz-gil"), _equation(t, bad, False, "ratdaz-gil")]
     t0 = terms[0]["_t"]
@@ -662,6 +702,7 @@ def build(workload: str, seed: int, smoke: bool = False) -> dict:
     """The inputs of one workload for one seed."""
     rng = random.Random(f"{workload}/{seed}")
     inputs = _GENERATORS[workload](rng, smoke)
+    inputs["repeat"] = 1 if smoke else REPEAT[workload]
     for key in ("punch", "classify", "translate", "gil_small", "deep"):
         inputs.setdefault(key, [])
     return inputs
