@@ -25,7 +25,7 @@ from .decide import (
     decide_iamdz_gil,
 )
 from .evaluate import Carrier, eval_total, parse_rational
-from .exceptions import MeadowError, ParseError
+from .exceptions import MeadowError, ParseError, SchemaError
 from .normalize import (
     DEFAULT_MAX_MONOMIALS,
     closed_normal_full,
@@ -155,7 +155,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(args: argparse.Namespace, text: str, structured: dict) -> None:
     if args.format == "structured":
-        print(json.dumps(structured))
+        try:
+            print(json.dumps(structured))
+        except RecursionError:
+            raise SchemaError("result is nested too deeply for the json module") from None
     else:
         print(text)
 

@@ -229,8 +229,9 @@ def decide_iamdz_gil(
         rhs = eval_total(u, env, Carrier.NON_NEGATIVE)
         if lhs != rhs:
             return Decision(False, Counterexample(env, lhs, rhs))
+    # A closed equation was settled by its one zero pattern, the empty one.
     rng = random.Random(seed)
-    for _ in range(_RANDOM_TRIES):
+    for _ in range(_RANDOM_TRIES if variables else 0):
         env = {v: Fraction(rng.randint(0, 9), rng.randint(1, 9)) for v in variables}
         lhs = eval_total(t, env, Carrier.NON_NEGATIVE)
         rhs = eval_total(u, env, Carrier.NON_NEGATIVE)

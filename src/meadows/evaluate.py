@@ -3,6 +3,11 @@
 The inverse of 0 is 0, and q / 0 is q * (1/0) = 0.  Everything is
 arbitrary-precision ``fractions.Fraction``; no floating point is used
 anywhere, so value equality is decidable and exact.
+
+One evaluator serves both semantics: ``eval_total`` here and
+``eval_punched`` in :mod:`meadows.partial` differ only in the value they
+give to ``0^-1`` and ``q / 0``.  It folds the term bottom-up without
+recursion, so terms of any depth evaluate.
 """
 
 from __future__ import annotations
@@ -10,10 +15,10 @@ from __future__ import annotations
 import re
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Optional
 
 from .exceptions import CarrierViolation, UnboundVariable
-from .terms import Add, Div, Inv, Mul, Neg, One, Term, Var, Zero
+from .terms import Add, Div, Inv, Mul, Neg, SignatureId, Term, Var, Zero, fold
 
 Rational = Fraction
 
@@ -31,6 +36,18 @@ class Carrier(Enum):
         if self is Carrier.NON_NEGATIVE:
             return value >= 0
         return True
+
+
+class PunchId(Enum):
+    """Which operation is punched, and where."""
+
+    INV0 = "inv0"
+    DIV_ALL0 = "divall0"
+    DIV_NONZERO0 = "divnz0"
+
+    @property
+    def signature(self) -> SignatureId:
+        return SignatureId.IAMDZ if self is PunchId.INV0 else SignatureId.DAMDZ
 
 
 RATIONAL_LITERAL = re.compile(r"(-?)(\d+)(?:/(\d+))?\Z")
@@ -65,14 +82,25 @@ def eval_total(t: Term, env: Mapping[str, Fraction], carrier: Carrier = Carrier.
     outside the carrier (the constant 0 over positives, negation outside
     all rationals), and UnboundVariable for uncovered variables.
     """
-    match t:
-        case Zero():
-            if carrier is Carrier.POSITIVE:
-                raise CarrierViolation("the constant 0 is outside the positive carrier")
-            return Fraction(0)
-        case One():
-            return Fraction(1)
-        case Var(name):
+    return _evaluate(t, env, carrier, None)
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def _evaluate(
+    t: Term, env: Mapping[str, Fraction], carrier: Carrier, punch: Optional[PunchId]
+) -> Optional[Fraction]:
+    """The value of ``t``, where q / 0 (q = 1 for 0^-1) is 0 if ``punch`` is None.
+
+    Under a punch it is undefined (None) instead, except 0 / 0 = 0 under
+    DIV_NONZERO0.  Undefined swallows every operation above it.
+    """
+
+    def visit(node: Term, a: Optional[Fraction] = _ONE, b: Optional[Fraction] = _ONE):
+        kind = node.__class__
+        if kind is Var:
+            name = node.name
             try:
                 value = Fraction(env[name])
             except KeyError:
@@ -80,19 +108,26 @@ def eval_total(t: Term, env: Mapping[str, Fraction], carrier: Carrier = Carrier.
             if not carrier.contains(value):
                 raise CarrierViolation(f"{name} = {value} is outside the {carrier.value} carrier")
             return value
-        case Add(left, right):
-            return eval_total(left, env, carrier) + eval_total(right, env, carrier)
-        case Mul(left, right):
-            return eval_total(left, env, carrier) * eval_total(right, env, carrier)
-        case Neg(arg):
-            if carrier is not Carrier.ALL:
-                raise CarrierViolation(f"negation is not available over the {carrier.value} carrier")
-            return -eval_total(arg, env, carrier)
-        case Inv(arg):
-            v = eval_total(arg, env, carrier)
-            return Fraction(0) if v == 0 else 1 / v
-        case Div(left, right):
-            u = eval_total(left, env, carrier)
-            v = eval_total(right, env, carrier)
-            return Fraction(0) if v == 0 else u / v
-    raise TypeError(f"not a term: {t!r}")
+        if kind is Zero:
+            if carrier is Carrier.POSITIVE:
+                raise CarrierViolation("the constant 0 is outside the positive carrier")
+            return _ZERO
+        if kind is Neg and carrier is not Carrier.ALL:
+            raise CarrierViolation(f"negation is not available over the {carrier.value} carrier")
+        if a is None or b is None:
+            return None
+        if kind is Add:
+            return a + b
+        if kind is Mul:
+            return a * b
+        if kind is Neg:
+            return -a
+        if kind is Inv:  # u^-1 is 1 / u
+            a, b = _ONE, a
+        elif kind is not Div:  # One
+            return _ONE
+        if b != 0:
+            return a / b
+        return _ZERO if punch is None or punch is PunchId.DIV_NONZERO0 and a == 0 else None
+
+    return fold(t, visit)

@@ -23,20 +23,19 @@ from typing import Iterator, Mapping
 
 from .exceptions import ContainsInverse, NotClosed, NotInSignature, SizeLimit
 from .terms import (
-    ONE,
     ZERO,
     Add,
-    Div,
     Inv,
     Mul,
-    Neg,
     One,
     SignatureId,
     Term,
     Var,
     Zero,
     conforms,
+    fold,
     free_vars,
+    rebuild,
 )
 
 # Monomials are sparse exponent vectors: ((var, exp), ...) sorted by
@@ -247,37 +246,22 @@ def poly_normal(t: Term, max_monomials: int = DEFAULT_MAX_MONOMIALS) -> PosPoly:
     adding coefficients.  Two inverse-free terms are equal over the
     arithmetical-meadow axioms iff their normal forms are equal.
     """
-    # Explicit stack: numeral chains nest thousands of constructors deep.
-    out: list[PosPoly] = []
-    stack: list[tuple[Term, bool]] = [(t, False)]
-    while stack:
-        node, ready = stack.pop()
-        match node:
-            case One():
-                out.append(PosPoly.constant(1))
-            case Var(name):
-                out.append(PosPoly.variable(name))
-            case Add(left, right) | Mul(left, right):
-                if ready:
-                    b = out.pop()
-                    a = out.pop()
-                    if isinstance(node, Add):
-                        out.append(a.add(b))
-                    else:
-                        out.append(a.mul(b, max_monomials))
-                else:
-                    stack.append((node, True))
-                    stack.append((right, False))
-                    stack.append((left, False))
-            case Inv(_):
-                raise ContainsInverse("poly_normal expects an inverse-free term")
-            case Zero() | Neg(_) | Div(_, _):
-                raise NotInSignature(
-                    f"{type(node).__name__} is not an inverse-free iamd constructor"
-                )
-            case _:
-                raise TypeError(f"not a term: {node!r}")
-    return out[0]
+
+    def visit(node: Term, a=None, b=None) -> PosPoly:
+        kind = node.__class__
+        if kind is Add:
+            return a.add(b)
+        if kind is Mul:
+            return a.mul(b, max_monomials)
+        if kind is One:
+            return PosPoly.constant(1)
+        if kind is Var:
+            return PosPoly.variable(node.name)
+        if kind is Inv:
+            raise ContainsInverse("poly_normal expects an inverse-free term")
+        raise NotInSignature(f"{kind.__name__} is not an inverse-free iamd constructor")
+
+    return fold(t, visit)
 
 
 def split_inverse(t: Term, max_monomials: int = DEFAULT_MAX_MONOMIALS) -> PolyFraction:
@@ -289,44 +273,29 @@ def split_inverse(t: Term, max_monomials: int = DEFAULT_MAX_MONOMIALS) -> PolyFr
     at every positive point, and numerator * denominator^-1 is provably
     equal to ``t``.
     """
-    out: list[PolyFraction] = []
-    stack: list[tuple[Term, bool]] = [(t, False)]
-    while stack:
-        node, ready = stack.pop()
-        match node:
-            case One():
-                one = PosPoly.constant(1)
-                out.append(PolyFraction(one, one))
-            case Var(name):
-                out.append(PolyFraction(PosPoly.variable(name), PosPoly.constant(1)))
-            case Add(left, right) | Mul(left, right):
-                if ready:
-                    b = out.pop()
-                    a = out.pop()
-                    if isinstance(node, Add):
-                        num = a.numerator.mul(b.denominator, max_monomials).add(
-                            b.numerator.mul(a.denominator, max_monomials)
-                        )
-                    else:
-                        num = a.numerator.mul(b.numerator, max_monomials)
-                    den = a.denominator.mul(b.denominator, max_monomials)
-                    out.append(PolyFraction(num, den))
-                else:
-                    stack.append((node, True))
-                    stack.append((right, False))
-                    stack.append((left, False))
-            case Inv(arg):
-                if ready:
-                    inner = out.pop()
-                    out.append(PolyFraction(inner.denominator, inner.numerator))
-                else:
-                    stack.append((node, True))
-                    stack.append((arg, False))
-            case Zero() | Neg(_) | Div(_, _):
-                raise NotInSignature(f"{type(node).__name__} does not occur in the iamd signature")
-            case _:
-                raise TypeError(f"not a term: {node!r}")
-    return out[0]
+
+    def visit(node: Term, a=None, b=None) -> PolyFraction:
+        kind = node.__class__
+        if kind is Add:
+            num = a.numerator.mul(b.denominator, max_monomials).add(
+                b.numerator.mul(a.denominator, max_monomials)
+            )
+            return PolyFraction(num, a.denominator.mul(b.denominator, max_monomials))
+        if kind is Mul:
+            return PolyFraction(
+                a.numerator.mul(b.numerator, max_monomials),
+                a.denominator.mul(b.denominator, max_monomials),
+            )
+        if kind is Inv:
+            return PolyFraction(a.denominator, a.numerator)
+        if kind is One:
+            one = PosPoly.constant(1)
+            return PolyFraction(one, one)
+        if kind is Var:
+            return PolyFraction(PosPoly.variable(node.name), PosPoly.constant(1))
+        raise NotInSignature(f"{kind.__name__} does not occur in the iamd signature")
+
+    return fold(t, visit)
 
 
 def closed_normal_iamd(t: Term, max_monomials: int = DEFAULT_MAX_MONOMIALS) -> ClosedNormal:
@@ -354,29 +323,18 @@ def zero_elim(t: Term) -> Term:
     """
     if not conforms(t, SignatureId.IAMDZ):
         raise NotInSignature("zero elimination applies to iamdz terms")
-    return _zero_elim(t)
 
+    def visit(node: Term, *children: Term) -> Term:
+        if not children:
+            return node
+        first, last = children[0].__class__ is Zero, children[-1].__class__ is Zero
+        if node.__class__ is Add and (first or last):
+            return children[1] if first else children[0]
+        if first or last:  # a product or an inverse of 0
+            return ZERO
+        return rebuild(node, *children)
 
-def _zero_elim(t: Term) -> Term:
-    match t:
-        case Zero() | One() | Var(_):
-            return t
-        case Add(left, right):
-            a, b = _zero_elim(left), _zero_elim(right)
-            if isinstance(a, Zero):
-                return b
-            if isinstance(b, Zero):
-                return a
-            return Add(a, b)
-        case Mul(left, right):
-            a, b = _zero_elim(left), _zero_elim(right)
-            if isinstance(a, Zero) or isinstance(b, Zero):
-                return ZERO
-            return Mul(a, b)
-        case Inv(arg):
-            a = _zero_elim(arg)
-            return ZERO if isinstance(a, Zero) else Inv(a)
-    raise TypeError(f"not a term: {t!r}")
+    return fold(t, visit)
 
 
 def closed_normal_iamdz(t: Term, max_monomials: int = DEFAULT_MAX_MONOMIALS) -> ClosedNormal:

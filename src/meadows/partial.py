@@ -4,6 +4,8 @@ Punching makes a total algebra partial by declaring an operation
 undefined at chosen points: the inverse at 0, or division by 0 (for
 every numerator, or only for nonzero numerators so that 0 / 0 = 0
 survives).  Undefined propagates strictly through every operation.
+Punched evaluation is the evaluator of :mod:`meadows.evaluate`, which
+maps the punched points to undefined instead of 0.
 
 For the inverse punch there is a static criterion: the sets Nz
 (syntactically non-zero terms) and Def (syntactically defined terms)
@@ -27,25 +29,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .exceptions import (
-    CarrierViolation,
-    NotInSignature,
-    SignatureMismatch,
-    UnboundVariable,
-)
-from .terms import Add, Div, Inv, Mul, SignatureId, Term, Var, Zero, One, conforms
-
-
-class PunchId(Enum):
-    """Which operation is punched, and where."""
-
-    INV0 = "inv0"
-    DIV_ALL0 = "divall0"
-    DIV_NONZERO0 = "divnz0"
-
-    @property
-    def signature(self) -> SignatureId:
-        return SignatureId.IAMDZ if self is PunchId.INV0 else SignatureId.DAMDZ
+from .evaluate import Carrier, PunchId, _evaluate
+from .exceptions import CarrierViolation, NotInSignature, SignatureMismatch
+from .terms import Add, Inv, Mul, One, SignatureId, Term, conforms, fold
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,47 +76,8 @@ def eval_punched(t: Term, env: Mapping[str, Fraction], punch: PunchId) -> Partia
     for name, value in env.items():
         if value < 0:
             raise CarrierViolation(f"{name} = {value} is negative")
-    return _eval_punched(t, env, punch)
-
-
-def _eval_punched(t: Term, env: Mapping[str, Fraction], punch: PunchId) -> PartialValue:
-    match t:
-        case Zero():
-            return Defined(Fraction(0))
-        case One():
-            return Defined(Fraction(1))
-        case Var(name):
-            if name not in env:
-                raise UnboundVariable(f"no value for variable {name}")
-            return Defined(Fraction(env[name]))
-        case Add(left, right):
-            a = _eval_punched(left, env, punch)
-            b = _eval_punched(right, env, punch)
-            if isinstance(a, Undefined) or isinstance(b, Undefined):
-                return UNDEFINED
-            return Defined(a.value + b.value)
-        case Mul(left, right):
-            a = _eval_punched(left, env, punch)
-            b = _eval_punched(right, env, punch)
-            if isinstance(a, Undefined) or isinstance(b, Undefined):
-                return UNDEFINED
-            return Defined(a.value * b.value)
-        case Inv(arg):
-            a = _eval_punched(arg, env, punch)
-            if isinstance(a, Undefined) or a.value == 0:
-                return UNDEFINED
-            return Defined(1 / a.value)
-        case Div(left, right):
-            a = _eval_punched(left, env, punch)
-            b = _eval_punched(right, env, punch)
-            if isinstance(a, Undefined) or isinstance(b, Undefined):
-                return UNDEFINED
-            if b.value == 0:
-                if punch is PunchId.DIV_NONZERO0 and a.value == 0:
-                    return Defined(Fraction(0))
-                return UNDEFINED
-            return Defined(a.value / b.value)
-    raise TypeError(f"not a term: {t!r}")
+    value = _evaluate(t, env, Carrier.ALL, punch)
+    return UNDEFINED if value is None else Defined(value)
 
 
 def classify_def(t: Term, unguarded_addition: bool = False) -> DefClass:
@@ -144,34 +91,26 @@ def classify_def(t: Term, unguarded_addition: bool = False) -> DefClass:
     """
     if not conforms(t, SignatureId.IAMDZ):
         raise NotInSignature("the definedness criterion applies to iamdz terms")
-    return _classify(t, unguarded_addition)
 
-
-def _classify(t: Term, unguarded: bool) -> DefClass:
-    match t:
-        case Zero() | Var(_):
-            return DefClass.IN_DEF_ONLY
-        case One():
+    def visit(node: Term, a=None, b=None) -> DefClass:
+        kind = node.__class__
+        if kind is One:
             return DefClass.IN_NZ
-        case Add(left, right):
-            a, b = _classify(left, unguarded), _classify(right, unguarded)
-            if unguarded:
+        if kind is Add:
+            if unguarded_addition:
                 if a is DefClass.IN_NZ or b is DefClass.IN_NZ:
                     return DefClass.IN_NZ
             elif (a is DefClass.IN_NZ and b.in_def) or (b is DefClass.IN_NZ and a.in_def):
                 return DefClass.IN_NZ
-            if a.in_def and b.in_def:
-                return DefClass.IN_DEF_ONLY
-            return DefClass.OUTSIDE
-        case Mul(left, right):
-            a, b = _classify(left, unguarded), _classify(right, unguarded)
+        elif kind is Mul:
             if a is DefClass.IN_NZ and b is DefClass.IN_NZ:
                 return DefClass.IN_NZ
-            if a.in_def and b.in_def:
-                return DefClass.IN_DEF_ONLY
-            return DefClass.OUTSIDE
-        case Inv(arg):
-            if _classify(arg, unguarded) is DefClass.IN_NZ:
-                return DefClass.IN_NZ
-            return DefClass.OUTSIDE
-    raise TypeError(f"not a term: {t!r}")
+        elif kind is Inv:
+            return DefClass.IN_NZ if a is DefClass.IN_NZ else DefClass.OUTSIDE
+        else:  # Zero or a variable
+            return DefClass.IN_DEF_ONLY
+        if a.in_def and b.in_def:
+            return DefClass.IN_DEF_ONLY
+        return DefClass.OUTSIDE
+
+    return fold(t, visit)

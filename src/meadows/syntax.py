@@ -17,7 +17,9 @@ inverse.
 The printer emits minimal parentheses under the same precedence table;
 parsing its output reproduces the term exactly.  By default maximal
 numeral subterms collapse back to decimal literals; structural mode
-spells them out.
+spells them out.  Parser and printer keep their own stacks, so nesting
+depth is unbounded; the json module recurses, so JSON documents deeper
+than it allows are refused with SchemaError.
 """
 
 from __future__ import annotations
@@ -26,12 +28,10 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NoReturn, Optional
 
 from .exceptions import ParseError, SchemaError
 from .terms import (
-    ONE,
-    ZERO,
     Add,
     Div,
     Inv,
@@ -41,6 +41,7 @@ from .terms import (
     Term,
     Var,
     Zero,
+    fold,
     numeral,
     power,
 )
@@ -125,7 +126,7 @@ class _Parser:
             self.fail(f"expected {kind!r}")
         return self.advance()
 
-    def fail(self, message: str) -> None:
+    def fail(self, message: str) -> NoReturn:
         token = self.peek()
         if token is None:
             line, column = self.end_position()
@@ -139,33 +140,59 @@ class _Parser:
         return last.line, last.column + len(last.text)
 
     def parse_expr(self) -> Term:
-        node = self.parse_term()
-        while (token := self.peek()) is not None and token.kind == "+":
-            self.advance()
-            node = Add(node, self.parse_term())
-        return node
+        """Operator-precedence parsing on explicit stacks, so nesting depth is unbounded.
 
-    def parse_term(self) -> Term:
-        node = self.parse_factor()
-        while (token := self.peek()) is not None and token.kind in ("*", "/"):
-            self.advance()
-            right = self.parse_factor()
-            node = Mul(node, right) if token.kind == "*" else Div(node, right)
-        return node
+        ``pending`` holds open brackets ("(" or "inv"), which stop
+        reductions, and operators not yet applied.
+        """
+        operands: list[Term] = []
+        pending: list[str] = []
 
-    def parse_factor(self) -> Term:
-        token = self.peek()
-        if token is not None and token.kind == "-":
-            self.advance()
-            return Neg(self.parse_factor())
-        return self.parse_postfix()
+        def reduce(precedence: int) -> None:
+            while pending and _BINDING.get(pending[-1], 0) >= precedence:
+                op = pending.pop()
+                if op == "neg":
+                    operands[-1] = Neg(operands[-1])
+                else:
+                    right = operands.pop()
+                    operands[-1] = _INFIX[op](operands[-1], right)
 
-    def parse_postfix(self) -> Term:
-        node = self.parse_atom()
-        while (token := self.peek()) is not None and token.kind == "^":
-            self.advance()
-            node = self.parse_exponent(node)
-        return node
+        while True:
+            # An operand: prefix operators and opening brackets, then an atom.
+            token = self.peek()
+            kind = token.kind if token is not None else None
+            if kind == "-" or kind == "(":
+                self.advance()
+                pending.append("neg" if kind == "-" else "(")
+                continue
+            if kind == "ident" and token.text == "inv":
+                self.advance()
+                self.expect("(")
+                pending.append("inv")
+                continue
+            if kind == "ident":
+                operands.append(Var(self.advance().text))
+            elif kind == "nat":
+                operands.append(numeral(int(self.advance().text)))
+            else:
+                self.fail("expected an expression")
+            # Postfix exponents, closing brackets, then an infix operator or the end.
+            while True:
+                while (token := self.peek()) is not None and token.kind == "^":
+                    self.advance()
+                    operands[-1] = self.parse_exponent(operands[-1])
+                if token is not None and token.kind in _INFIX:
+                    reduce(_BINDING[token.kind])
+                    pending.append(self.advance().kind)
+                    break
+                reduce(1)
+                if not pending:
+                    return operands[0]
+                if token is None or token.kind != ")":
+                    self.fail("expected ')'")
+                self.advance()
+                if pending.pop() == "inv":
+                    operands[-1] = Inv(operands[-1])
 
     def parse_exponent(self, base: Term) -> Term:
         token = self.peek()
@@ -180,32 +207,11 @@ class _Parser:
             self.advance()
             return power(base, int(token.text))
         self.fail("expected -1 or a natural number after '^'")
-        raise AssertionError("unreachable")
 
-    def parse_atom(self) -> Term:
-        token = self.peek()
-        if token is None:
-            self.fail("expected an expression")
-        assert token is not None
-        if token.kind == "(":
-            self.advance()
-            node = self.parse_expr()
-            self.expect(")")
-            return node
-        if token.kind == "ident" and token.text == "inv":
-            self.advance()
-            self.expect("(")
-            node = self.parse_expr()
-            self.expect(")")
-            return Inv(node)
-        if token.kind == "ident":
-            self.advance()
-            return Var(token.text)
-        if token.kind == "nat":
-            self.advance()
-            return numeral(int(token.text))
-        self.fail("expected an expression")
-        raise AssertionError("unreachable")
+
+# Binding strength of the pending operators; brackets are absent (0).
+_BINDING = {"+": 1, "*": 2, "/": 2, "neg": 3}
+_INFIX = {"+": Add, "*": Mul, "/": Div}
 
 
 def parse(text: str) -> ParsedInput:
@@ -245,64 +251,50 @@ def numeral_value(t: Term) -> Optional[int]:
     return None
 
 
-def power_view(t: Term) -> Optional[tuple[Term, int]]:
-    """The (base, n) with t = power(base, n) and n >= 2, else None."""
-    count = 0
-    node = t
-    base: Optional[Term] = None
-    while isinstance(node, Mul) and (base is None or node.right == base):
-        base = node.right
-        count += 1
-        node = node.left
-    if isinstance(node, One) and base is not None and count >= 2:
-        return base, count
-    return None
-
-
 # Precedence levels for printing; higher binds tighter.
 _ADD, _MUL, _NEG, _POSTFIX, _ATOM = 1, 2, 3, 4, 5
+_INFIX_TEXT = {Add: (" + ", _ADD), Mul: (" * ", _MUL), Div: (" / ", _MUL)}
 
 
 def render(t: Term, numerals: NumeralStyle = NumeralStyle.DECIMAL) -> str:
     """Canonical minimal-parentheses text; parse(render(t)) equals t."""
-    text, _ = _render(t, numerals)
-    return text
+    decimal = numerals is NumeralStyle.DECIMAL
 
+    def wrap(child: tuple, minimum: int) -> str:
+        return child[0] if child[1] >= minimum else f"({child[0]})"
 
-def _render(t: Term, numerals: NumeralStyle) -> tuple[str, int]:
-    if numerals is NumeralStyle.DECIMAL:
-        value = numeral_value(t)
-        if value is not None:
-            return str(value), _ATOM
-    # x^2 parses to the structural unfolding 1*x*x, so collapsing the
-    # chain back keeps parse(render(t)) == t while reading naturally.
-    powered = power_view(t)
-    if powered is not None:
-        base, exponent = powered
-        return f"{_child(base, _POSTFIX, numerals)}^{exponent}", _POSTFIX
-    match t:
-        case Zero():
-            return "0", _ATOM
-        case One():
-            return "1", _ATOM
-        case Var(name):
-            return name, _ATOM
-        case Add(left, right):
-            return f"{_child(left, _ADD, numerals)} + {_child(right, _ADD + 1, numerals)}", _ADD
-        case Mul(left, right):
-            return f"{_child(left, _MUL, numerals)} * {_child(right, _MUL + 1, numerals)}", _MUL
-        case Div(left, right):
-            return f"{_child(left, _MUL, numerals)} / {_child(right, _MUL + 1, numerals)}", _MUL
-        case Neg(arg):
-            return f"-{_child(arg, _NEG, numerals)}", _NEG
-        case Inv(arg):
-            return f"{_child(arg, _POSTFIX, numerals)}^-1", _POSTFIX
-    raise TypeError(f"not a term: {t!r}")
+    # Each node folds to (text, precedence level, n if it is numeral(n),
+    # (base, n) if it is power(base, n) with n >= 1), so numerals and
+    # power chains are recognised in one pass.
+    def visit(node: Term, a=None, b=None) -> tuple:
+        kind = node.__class__
+        count = chain = None
+        if kind is One:
+            count = 1
+        elif kind is Zero:
+            count = 0
+        elif kind is Add and b[2] == 1 and a[2]:
+            count = a[2] + 1
+        elif kind is Mul and a[2] == 1:
+            chain = (node.right, 1)
+        elif kind is Mul and a[3] is not None and a[3][0] == node.right:
+            chain = (node.right, a[3][1] + 1)
+        if count is not None and (decimal or kind is not Add):
+            return str(count), _ATOM, count, None
+        if chain is not None and chain[1] >= 2:
+            # x^2 parses to the structural unfolding 1*x*x, so collapsing the
+            # chain back keeps parse(render(t)) == t while reading naturally.
+            return f"{wrap(b, _POSTFIX)}^{chain[1]}", _POSTFIX, None, chain
+        if kind is Var:
+            return node.name, _ATOM, None, None
+        if kind is Neg:
+            return f"-{wrap(a, _NEG)}", _NEG, None, None
+        if kind is Inv:
+            return f"{wrap(a, _POSTFIX)}^-1", _POSTFIX, None, None
+        op, level = _INFIX_TEXT[kind]
+        return f"{wrap(a, level)}{op}{wrap(b, level + 1)}", level, count, chain
 
-
-def _child(t: Term, minimum: int, numerals: NumeralStyle) -> str:
-    text, level = _render(t, numerals)
-    return text if level >= minimum else f"({text})"
+    return fold(t, visit)[0]
 
 
 _SERIAL_OPS = {"zero": Zero, "one": One, "neg": Neg, "inv": Inv, "add": Add, "mul": Mul, "div": Div}
@@ -310,45 +302,61 @@ _OP_NAMES = {cls: name for name, cls in _SERIAL_OPS.items()}
 
 
 def term_to_dict(t: Term) -> dict:
-    match t:
-        case Zero() | One():
-            return {"op": _OP_NAMES[type(t)]}
-        case Var(name):
-            return {"op": "var", "name": name}
-        case Neg(arg) | Inv(arg):
-            return {"op": _OP_NAMES[type(t)], "args": [term_to_dict(arg)]}
-        case Add(left, right) | Mul(left, right) | Div(left, right):
-            return {"op": _OP_NAMES[type(t)], "args": [term_to_dict(left), term_to_dict(right)]}
-    raise TypeError(f"not a term: {t!r}")
+    def visit(node: Term, *args: dict) -> dict:
+        if node.__class__ is Var:
+            return {"op": "var", "name": node.name}
+        doc = {"op": _OP_NAMES[node.__class__]}
+        if args:
+            doc["args"] = list(args)
+        return doc
+
+    return fold(t, visit)
 
 
 def term_from_dict(doc: object) -> Term:
-    if not isinstance(doc, dict):
-        raise SchemaError(f"expected an object, got {type(doc).__name__}")
-    op = doc.get("op")
-    if op == "var":
-        name = doc.get("name")
-        if not isinstance(name, str):
-            raise SchemaError("var node needs a string 'name'")
-        try:
-            return Var(name)
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from exc
-    if op in ("zero", "one"):
-        return ZERO if op == "zero" else ONE
-    if op in ("neg", "inv", "add", "mul", "div"):
-        args = doc.get("args")
-        arity = 1 if op in ("neg", "inv") else 2
-        if not isinstance(args, list) or len(args) != arity:
-            raise SchemaError(f"{op} node needs exactly {arity} args")
-        children = [term_from_dict(arg) for arg in args]
-        return _SERIAL_OPS[op](*children)
-    raise SchemaError(f"unknown op tag: {op!r}")
+    # Check every node parents first, as read, then build bottom-up; both
+    # passes keep their own stack, so documents of any depth load.
+    order: list = []
+    stack = [doc]
+    while stack:
+        doc = stack.pop()
+        if not isinstance(doc, dict):
+            raise SchemaError(f"expected an object, got {type(doc).__name__}")
+        op = doc.get("op")
+        if op == "var":
+            name = doc.get("name")
+            if not isinstance(name, str):
+                raise SchemaError("var node needs a string 'name'")
+            try:
+                order.append(Var(name))
+            except ValueError as exc:
+                raise SchemaError(str(exc)) from exc
+        elif isinstance(op, str) and op in _SERIAL_OPS:
+            kind = _SERIAL_OPS[op]
+            if kind._arity:
+                args = doc.get("args")
+                if not isinstance(args, list) or len(args) != kind._arity:
+                    raise SchemaError(f"{op} node needs exactly {kind._arity} args")
+                stack.extend(reversed(args))
+            order.append(kind)
+        else:
+            raise SchemaError(f"unknown op tag: {op!r}")
+    out: list[Term] = []
+    for item in reversed(order):
+        if isinstance(item, Term):
+            out.append(item)
+        else:
+            out.append(item(*[out.pop() for _ in range(item._arity)]))
+    return out[0]
 
 
 def serialize(t: Term) -> str:
     """JSON document for a term: op tag, children under 'args', var 'name'."""
-    return json.dumps(term_to_dict(t))
+    doc = term_to_dict(t)
+    try:
+        return json.dumps(doc)
+    except RecursionError:
+        raise SchemaError("term is nested too deeply for the json module") from None
 
 
 def deserialize(text: str) -> Term:
@@ -356,4 +364,6 @@ def deserialize(text: str) -> Term:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise SchemaError("document is nested too deeply for the json module") from None
     return term_from_dict(doc)

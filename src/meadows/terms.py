@@ -5,13 +5,19 @@ addition, multiplication, additive inverse (negation), multiplicative
 inverse, and division.  Individual signatures permit only a subset of
 these constructors; ``conforms`` checks membership dynamically so the
 same tree type serves every signature.
+
+Every traversal in the package goes through ``nodes`` (every node,
+parents first, gathered on an explicit stack) or ``fold`` (bottom-up over
+that list), so terms of any depth can be hashed, compared, printed,
+evaluated and rewritten.  Each node caches its hash at construction.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
+from operator import is_
+from typing import Callable, TypeVar
 
 from .exceptions import ZeroNotInSignature
 
@@ -20,11 +26,59 @@ VAR_NAME = re.compile(r"[a-z][a-z0-9_]*\Z")
 # reserved in the concrete syntax for the function form of the inverse
 RESERVED_WORDS = frozenset({"inv"})
 
+R = TypeVar("R")
+
 
 class Term:
     """Base class of the term tree; instances are immutable and hashable."""
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
+    __match_args__: tuple[str, ...] = ()
+    _arity = 0
+
+    def __init__(self):  # the constants
+        _SET_HASH(self, hash((self.__class__,)))
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Term):
+            return NotImplemented
+        if self._hash != other._hash:
+            return False
+        # Equal node sequences with equal arities rebuild the same tree.
+        return all(
+            a is b or a.__class__ is b.__class__ and a._hash == b._hash
+            and (a.__class__ is not Var or a.name == b.name)
+            for a, b in zip(nodes(self), nodes(other))
+        )
+
+    def __repr__(self) -> str:
+        # The fold nests tuples of strings and one pass joins them, so the
+        # text of a deep term is copied once, not once per level.
+        def visit(node: Term, *children: tuple) -> tuple:
+            values = (repr(node.name),) if node.__class__ is Var else children
+            fields: list = []
+            for name, value in zip(node.__match_args__, values):
+                fields += [", ", name, "=", value]
+            return (type(node).__name__, "(", *fields[1:], ")")
+
+        parts, stack = [], [fold(self, visit)]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                parts.append(item)
+            else:
+                stack.extend(reversed(item))
+        return "".join(parts)
 
     def __add__(self, other: "Term") -> "Term":
         return Add(self, other)
@@ -47,51 +101,109 @@ class Term:
         return Inv(self)
 
 
-@dataclass(frozen=True, slots=True)
 class Zero(Term):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class One(Term):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Var(Term):
-    name: str
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
 
-    def __post_init__(self):
-        if not VAR_NAME.match(self.name) or self.name in RESERVED_WORDS:
-            raise ValueError(f"invalid variable name: {self.name!r}")
-
-
-@dataclass(frozen=True, slots=True)
-class Add(Term):
-    left: Term
-    right: Term
+    def __init__(self, name: str):
+        if not VAR_NAME.match(name) or name in RESERVED_WORDS:
+            raise ValueError(f"invalid variable name: {name!r}")
+        _SET_NAME(self, name)
+        _SET_HASH(self, hash((Var, name)))
 
 
-@dataclass(frozen=True, slots=True)
-class Mul(Term):
-    left: Term
-    right: Term
+class _Unary(Term):
+    __slots__ = ("arg",)
+    __match_args__ = ("arg",)
+    _arity = 1
+
+    def __init__(self, arg: Term):
+        _SET_ARG(self, arg)
+        _SET_HASH(self, hash((self.__class__, arg._hash)))
 
 
-@dataclass(frozen=True, slots=True)
-class Neg(Term):
-    arg: Term
+class _Binary(Term):
+    __slots__ = ("left", "right")
+    __match_args__ = ("left", "right")
+    _arity = 2
+
+    def __init__(self, left: Term, right: Term):
+        _SET_LEFT(self, left)
+        _SET_RIGHT(self, right)
+        _SET_HASH(self, hash((self.__class__, left._hash, right._hash)))
 
 
-@dataclass(frozen=True, slots=True)
-class Inv(Term):
-    arg: Term
+# Slot writers for the constructors; ordinary assignment is refused.
+_SET_HASH = Term._hash.__set__
+_SET_NAME = Var.name.__set__
+_SET_ARG = _Unary.arg.__set__
+_SET_LEFT = _Binary.left.__set__
+_SET_RIGHT = _Binary.right.__set__
 
 
-@dataclass(frozen=True, slots=True)
-class Div(Term):
-    left: Term
-    right: Term
+class Add(_Binary):
+    __slots__ = ()
+
+
+class Mul(_Binary):
+    __slots__ = ()
+
+
+class Neg(_Unary):
+    __slots__ = ()
+
+
+class Inv(_Unary):
+    __slots__ = ()
+
+
+class Div(_Binary):
+    __slots__ = ()
+
+
+def nodes(t: Term) -> list[Term]:
+    """Every node occurrence of ``t``, each before its children (the right subtree first)."""
+    order: list[Term] = []
+    stack = [t]
+    pop, push, emit = stack.pop, stack.append, order.append
+    while stack:
+        node = pop()
+        emit(node)
+        arity = node._arity
+        if arity == 2:
+            push(node.left)
+            push(node.right)
+        elif arity:
+            push(node.arg)
+    return order
+
+
+def fold(t: Term, visit: Callable[..., R]) -> R:
+    """Bottom-up fold: ``visit(node, *child_results)`` at every node, children left to right.
+
+    Nodes are visited in post-order, left subtree first, so effects and
+    errors of ``visit`` happen in the order a left-to-right recursion
+    would meet them after its children.
+    """
+    out: list = []
+    for node in reversed(nodes(t)):
+        arity = node._arity
+        if arity == 2:
+            right = out.pop()
+            out[-1] = visit(node, out[-1], right)
+        elif arity:
+            out[-1] = visit(node, out[-1])
+        else:
+            out.append(visit(node))
+    return out[0]
 
 
 ZERO = Zero()
@@ -180,60 +292,38 @@ def power(t: Term, n: int) -> Term:
     return result
 
 
+def constructors(t: Term) -> set[type]:
+    """The constructor classes occurring in ``t``; a variable is not a constructor."""
+    used = set(map(type, nodes(t)))
+    used.discard(Var)
+    return used
+
+
 def conforms(t: Term, sig: SignatureId) -> bool:
     """True iff every constructor occurring in ``t`` is permitted by ``sig``."""
-    stack = [t]
-    allowed = sig.constructors
-    while stack:
-        node = stack.pop()
-        kind = type(node)
-        if kind is Var:
-            continue
-        if kind not in allowed:
-            return False
-        if kind in (Add, Mul, Div):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif kind in (Neg, Inv):
-            stack.append(node.arg)
-    return True
+    return constructors(t) <= sig.constructors
+
+
+def rebuild(node: Term, *children: Term) -> Term:
+    """``node`` over new children; ``node`` itself when they are the old ones."""
+    old = (node.left, node.right) if node._arity == 2 else (node.arg,) if node._arity else ()
+    return node if all(map(is_, children, old)) else node.__class__(*children)
 
 
 def substitute(t: Term, var: str, replacement: Term) -> Term:
     """Replace every occurrence of the variable ``var`` in ``t`` by ``replacement``."""
-    match t:
-        case Var(name):
-            return replacement if name == var else t
-        case Zero() | One():
-            return t
-        case Add(left, right):
-            return Add(substitute(left, var, replacement), substitute(right, var, replacement))
-        case Mul(left, right):
-            return Mul(substitute(left, var, replacement), substitute(right, var, replacement))
-        case Div(left, right):
-            return Div(substitute(left, var, replacement), substitute(right, var, replacement))
-        case Neg(arg):
-            return Neg(substitute(arg, var, replacement))
-        case Inv(arg):
-            return Inv(substitute(arg, var, replacement))
-    raise TypeError(f"not a term: {t!r}")
+
+    def visit(node: Term, *children: Term) -> Term:
+        if node.__class__ is Var and node.name == var:
+            return replacement
+        return rebuild(node, *children)
+
+    return fold(t, visit)
 
 
 def free_vars(t: Term) -> tuple[str, ...]:
     """The variables occurring in ``t``, sorted lexicographically."""
-    seen: set[str] = set()
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        match node:
-            case Var(name):
-                seen.add(name)
-            case Add(left, right) | Mul(left, right) | Div(left, right):
-                stack.append(left)
-                stack.append(right)
-            case Neg(arg) | Inv(arg):
-                stack.append(arg)
-    return tuple(sorted(seen))
+    return tuple(sorted({node.name for node in nodes(t) if node.__class__ is Var}))
 
 
 def is_closed(t: Term) -> bool:
@@ -242,10 +332,4 @@ def is_closed(t: Term) -> bool:
 
 def term_size(t: Term) -> int:
     """Number of constructor nodes (variables and constants count as 1)."""
-    match t:
-        case Add(left, right) | Mul(left, right) | Div(left, right):
-            return 1 + term_size(left) + term_size(right)
-        case Neg(arg) | Inv(arg):
-            return 1 + term_size(arg)
-        case _:
-            return 1
+    return len(nodes(t))

@@ -31,9 +31,12 @@ from .terms import (
     Inv,
     Mul,
     Neg,
+    One,
     SignatureId,
     Term,
     Var,
+    Zero,
+    constructors,
     free_vars,
     power,
 )
@@ -222,28 +225,7 @@ def conditional_law(id: TheoryId) -> Optional[ConditionalLaw]:
     return _THEORIES[id].conditional
 
 
-def _operations(t: Term) -> set[type]:
-    ops: set[type] = set()
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        match node:
-            case Var(_):
-                pass
-            case Add(left, right) | Mul(left, right) | Div(left, right):
-                ops.add(type(node))
-                stack.extend((left, right))
-            case Neg(arg) | Inv(arg):
-                ops.add(type(node))
-                stack.append(arg)
-            case _:
-                ops.add(type(node))
-    return ops
-
-
 def _carrier_operations(carrier: Carrier) -> set[type]:
-    from .terms import One, Zero
-
     ops = {One, Add, Mul, Inv, Div}
     if carrier is not Carrier.POSITIVE:
         ops.add(Zero)
@@ -311,14 +293,10 @@ def check_model(
     laws: list[Equation | ConditionalLaw] = list(th.equations)
     if th.conditional is not None:
         laws.append(th.conditional)
-    for law in th.equations:
-        used |= _operations(law.lhs) | _operations(law.rhs)
+    for law in laws:
+        used |= constructors(law.lhs) | constructors(law.rhs)
     if th.conditional is not None:
-        used |= (
-            _operations(th.conditional.subject)
-            | _operations(th.conditional.lhs)
-            | _operations(th.conditional.rhs)
-        )
+        used |= constructors(th.conditional.subject)
     unsupported = used - _carrier_operations(carrier)
     if unsupported:
         names = ", ".join(sorted(op.__name__ for op in unsupported))

@@ -246,6 +246,17 @@ class TestDecideIamdzGil:
         assert isinstance(ce, Counterexample)
         assert ce.lhs_value != ce.rhs_value
 
+    def test_closed_equation_is_evaluated_once(self, monkeypatch):
+        import meadows.decide
+
+        calls = []
+        monkeypatch.setattr(
+            meadows.decide, "eval_total", lambda *args: calls.append(args) or eval_total(*args)
+        )
+        d = decide_iamdz_gil(Mul(numeral(3), Inv(numeral(2))), Add(ONE, Inv(numeral(2))))
+        assert d.verdict
+        assert len(calls) == 2
+
     def test_deterministic(self):
         shared = Mul(X, Add(X, Y))
         a = decide_iamdz_gil(Mul(shared, Inv(shared)), Mul(X, Inv(X)), seed=3)
