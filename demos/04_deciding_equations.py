@@ -39,8 +39,8 @@ squares = parse_term("(1 + x^2 + y^2) * (1 + x^2 + y^2)^-1")
 print("(1 + x^2 + y^2)(...)^-1 = 1:", decide_iamdz_gil(squares, ONE).verdict)
 
 # The equivalence between the two rational-number specifications rests
-# on one equation; its decision runs the variable case split, and the
-# trace records every branch.
+# on one equation; its decision runs the zero-set case split, and the
+# trace records every case.
 lhs = parse_term("(x * (x + y)) * (x * (x + y))^-1")
 rhs = parse_term("x * x^-1")
 d = decide_iamdz_gil(lhs, rhs)

@@ -271,7 +271,11 @@ def _evidence_doc(evidence) -> dict:
         return {
             "kind": "case-split",
             "steps": [
-                {"case": step.description, "verdict": step.decision.verdict}
+                {
+                    "case": step.description,
+                    "verdict": step.decision.verdict,
+                    "evidence": _evidence_doc(step.decision.evidence),
+                }
                 for step in evidence.steps
             ],
         }

@@ -7,21 +7,24 @@ the question to syntactic equality of positive polynomials
 (``decide_iamd``).
 
 With 0 in the signature and the general inverse law (x != 0 implies
-x * x^-1 = 1) assumed, provability is decided by recursion on the
-variables: eliminate 0 from both sides, then require the zero-free
-comparison to succeed *and* the equation to survive substituting 0 for
-each variable in turn (``decide_iamdz_gil``).
+x * x^-1 = 1) assumed, every variable is 0 or invertible, so provability
+is decided by cases over the sets of variables set to 0: for each zero
+set, in order of size, substitute 0, eliminate it from both sides and
+run the zero-free comparison, deciding each distinct case once and
+keeping its decision as evidence (``decide_iamdz_gil``).
 
 Divisive equations are decided by translating division away; closed
 terms of any of the seven signatures are decided by exact evaluation,
 which doubles as an independent oracle for the syntactic procedures.
 
 A false verdict always carries a concrete counterexample assignment.
-The search tries the all-ones assignment, zero patterns where 0 is in
-the carrier, then seeded small rationals; if none of those separate the
-sides, a guaranteed stage specializes the (nonzero) difference of the
-cross-product polynomials one variable at a time, which must succeed
-because a nonzero polynomial has only finitely many roots per variable.
+The zero-carrying search tries the zero patterns first and otherwise
+lifts the counterexample of the first failing case.  The zero-free
+search tries the all-ones assignment, then seeded small rationals; if
+none of those separate the sides, a guaranteed stage specializes the
+(nonzero) difference of the cross-product polynomials one variable at a
+time, which must succeed because a nonzero polynomial has only finitely
+many roots per variable.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Optional, Union
+from itertools import combinations, islice
+from typing import Union
 
 from .evaluate import Carrier, eval_total
 from .exceptions import NotClosed, NotInSignature
@@ -44,6 +47,7 @@ from .normalize import (
 )
 from .terms import (
     SignatureId,
+    ZERO,
     Term,
     Zero,
     conforms,
@@ -92,7 +96,8 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class RecursionTrace:
-    """Sub-decisions of the variable case split, all true."""
+    """The true cases of the zero-set split, one per distinct pair of reduced
+    sides, named ``"all variables nonzero"``, ``"x = 0"``, ``"x = 0, y = 0"``, ..."""
 
     steps: tuple[TraceStep, ...]
 
@@ -210,38 +215,65 @@ def decide_iamdz_gil(
 ) -> Decision:
     """Decide provability from the zero-carrying theory plus the general inverse law.
 
-    Recursion on the variables of the equation, following the structure
-    that makes the law decidable: eliminate 0 from both sides; if both
-    collapse to 0 the sides are equal, and if exactly one collapses the
-    sides differ (a zero-free term is positive at the all-ones point).
-    Otherwise the zero-free comparison must succeed with every variable
-    assumed nonzero, and the equation must survive substituting 0 for
-    each variable in turn.
+    Under the law every variable is 0 or invertible, so the equation is
+    provable exactly when it holds for each set S of its variables taken
+    to be 0 and the rest nonzero.  The zero sets are visited in order of
+    size.  For each, 0 is substituted for S and eliminated from both
+    sides, and a pair not met before is decided once: both sides 0 is
+    true, exactly one side 0 is false (a zero-free term is positive at
+    the all-ones point), and otherwise the zero-free comparison decides.
+    A true verdict carries these case decisions as a ``RecursionTrace``;
+    a false one carries a counterexample from the first failing case, a
+    minimal zero set.
     """
     if not (conforms(t, SignatureId.IAMDZ) and conforms(u, SignatureId.IAMDZ)):
         raise NotInSignature("both sides must conform to the iamdz signature")
     variables = sorted({*free_vars(t), *free_vars(u)})
     # A derivable equation holds at every non-negative point, so any
     # separating assignment refutes it outright; searching before the
-    # recursion also yields the simplest counterexamples first.
+    # case split also yields the simplest counterexamples first.
     for env in zero_pattern_assignments(variables):
         lhs = eval_total(t, env, Carrier.NON_NEGATIVE)
         rhs = eval_total(u, env, Carrier.NON_NEGATIVE)
         if lhs != rhs:
             return Decision(False, Counterexample(env, lhs, rhs))
-    # A closed equation was settled by its one zero pattern, the empty one.
-    rng = random.Random(seed)
-    for _ in range(_RANDOM_TRIES if variables else 0):
-        env = {v: Fraction(rng.randint(0, 9), rng.randint(1, 9)) for v in variables}
-        lhs = eval_total(t, env, Carrier.NON_NEGATIVE)
-        rhs = eval_total(u, env, Carrier.NON_NEGATIVE)
-        if lhs != rhs:
-            return Decision(False, Counterexample(env, lhs, rhs))
-    memo: dict[tuple[Term, Term], tuple[bool, Optional[dict[str, Fraction]]]] = {}
-    verdict, env = _gil(t, u, memo, max_monomials, seed)
-    if verdict:
-        return Decision(True, _gil_trace(t, u, memo, max_monomials, seed))
-    assert env is not None
+    if not variables:
+        # A closed equation was settled by its one zero pattern, the empty one.
+        return Decision(
+            True, MatchedNormals(ClosedNormal.from_rational(lhs), ClosedNormal.from_rational(rhs))
+        )
+    steps: list[TraceStep] = []
+    decided: set[tuple[Term, Term]] = set()
+    for zeros in _zero_sets(variables):
+        s, s2 = t, u
+        for var in zeros:
+            s, s2 = substitute(s, var, ZERO), substitute(s2, var, ZERO)
+        s, s2 = zero_elim(s), zero_elim(s2)
+        if (s, s2) in decided:
+            continue
+        decided.add((s, s2))
+        if isinstance(s, Zero) != isinstance(s2, Zero):
+            # One side is derivably 0, the other is zero-free and therefore
+            # strictly positive at the all-ones assignment.
+            ones = dict.fromkeys(free_vars(s) + free_vars(s2), Fraction(1))
+            return _refutation(t, u, variables, ones)
+        if isinstance(s, Zero):
+            decision = Decision(True, MatchedNormals(ClosedNormal.zero(), ClosedNormal.zero()))
+        else:
+            decision = decide_iamd(s, s2, max_monomials, seed)
+            if not decision.verdict:
+                assert isinstance(decision.evidence, Counterexample)
+                return _refutation(t, u, variables, decision.evidence.assignment)
+        case = ", ".join(f"{var} = 0" for var in zeros) or "all variables nonzero"
+        steps.append(TraceStep(case, decision))
+    if len(steps) == 1:
+        # Every variable vanished with 0, as in x * 0 = 0: no case split.
+        return steps[0].decision
+    return Decision(True, RecursionTrace(tuple(steps)))
+
+
+def _refutation(t: Term, u: Term, variables: list[str], env: dict[str, Fraction]) -> Decision:
+    """A false verdict at ``env``, with every variable it leaves out set to 0."""
     full = {v: Fraction(0) for v in variables}
     full.update(env)
     return Decision(
@@ -254,87 +286,10 @@ def decide_iamdz_gil(
     )
 
 
-def _gil(
-    t: Term,
-    u: Term,
-    memo: dict[tuple[Term, Term], tuple[bool, Optional[dict[str, Fraction]]]],
-    max_monomials: int,
-    seed: int,
-) -> tuple[bool, Optional[dict[str, Fraction]]]:
-    """Verdict plus, when false, a separating non-negative assignment."""
-    key = (t, u)
-    if key in memo:
-        return memo[key]
-    s, s2 = zero_elim(t), zero_elim(u)
-    result: tuple[bool, Optional[dict[str, Fraction]]]
-    if isinstance(s, Zero) and isinstance(s2, Zero):
-        result = (True, None)
-    elif isinstance(s, Zero) or isinstance(s2, Zero):
-        # One side is derivably 0, the other is zero-free and therefore
-        # strictly positive at the all-ones assignment.
-        survivor = s2 if isinstance(s, Zero) else s
-        result = (False, {v: Fraction(1) for v in free_vars(survivor)})
-    else:
-        variables = sorted({*free_vars(s), *free_vars(s2)})
-        if not variables:
-            from .normalize import closed_normal_iamd
-
-            same = closed_normal_iamd(s, max_monomials) == closed_normal_iamd(s2, max_monomials)
-            result = (same, None) if same else (False, {})
-        else:
-            base = decide_iamd(s, s2, max_monomials, seed)
-            if not base.verdict:
-                assert isinstance(base.evidence, Counterexample)
-                result = (False, dict(base.evidence.assignment))
-            else:
-                result = (True, None)
-                for var in variables:
-                    sub_verdict, sub_env = _gil(
-                        substitute(s, var, Zero()),
-                        substitute(s2, var, Zero()),
-                        memo,
-                        max_monomials,
-                        seed,
-                    )
-                    if not sub_verdict:
-                        assert sub_env is not None
-                        lifted = dict(sub_env)
-                        lifted[var] = Fraction(0)
-                        result = (False, lifted)
-                        break
-    memo[key] = result
-    return result
-
-
-def _gil_trace(
-    t: Term,
-    u: Term,
-    memo: dict[tuple[Term, Term], tuple[bool, Optional[dict[str, Fraction]]]],
-    max_monomials: int,
-    seed: int,
-) -> Evidence:
-    """Reconstruct top-level evidence for a true verdict."""
-    s, s2 = zero_elim(t), zero_elim(u)
-    if isinstance(s, Zero) and isinstance(s2, Zero):
-        return MatchedNormals(ClosedNormal.zero(), ClosedNormal.zero())
-    variables = sorted({*free_vars(s), *free_vars(s2)})
-    if not variables:
-        from .normalize import closed_normal_iamd
-
-        return MatchedNormals(
-            closed_normal_iamd(s, max_monomials), closed_normal_iamd(s2, max_monomials)
-        )
-    steps = [TraceStep("all variables nonzero", decide_iamd(s, s2, max_monomials, seed))]
-    for var in variables:
-        sub_t, sub_u = substitute(s, var, Zero()), substitute(s2, var, Zero())
-        sub_verdict, _ = _gil(sub_t, sub_u, memo, max_monomials, seed)
-        steps.append(
-            TraceStep(
-                f"{var} = 0",
-                Decision(sub_verdict, _gil_trace(sub_t, sub_u, memo, max_monomials, seed)),
-            )
-        )
-    return RecursionTrace(tuple(steps))
+def _zero_sets(variables: list[str]):
+    """Every set of the variables, smallest first."""
+    for size in range(len(variables) + 1):
+        yield from combinations(variables, size)
 
 
 def zero_pattern_assignments(variables: list[str]):
@@ -343,15 +298,8 @@ def zero_pattern_assignments(variables: list[str]):
     Used by counterexample searches in the zero-carrying setting;
     capped to keep enumeration bounded for many variables.
     """
-    yield {v: Fraction(1) for v in variables}
-    count = 0
-    for size in range(1, len(variables) + 1):
-        for zeros in combinations(variables, size):
-            env = {v: Fraction(0) if v in zeros else Fraction(1) for v in variables}
-            yield env
-            count += 1
-            if count >= _ZERO_PATTERN_LIMIT:
-                return
+    for zeros in islice(_zero_sets(variables), _ZERO_PATTERN_LIMIT + 1):
+        yield {v: Fraction(0) if v in zeros else Fraction(1) for v in variables}
 
 
 def decide_divisive(

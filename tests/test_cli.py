@@ -216,6 +216,25 @@ class TestDecideCommand:
         assert code == EXIT_OK
         assert "case split" in out
 
+    def test_structured_case_split(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "decide",
+            "(x * (x + y)) * (x * (x + y))^-1",
+            "x * x^-1",
+            "--theory",
+            "ratiaz-gil",
+            "--format",
+            "structured",
+        )
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["evidence"]["kind"] == "case-split"
+        steps = doc["evidence"]["steps"]
+        assert [step["case"] for step in steps] == ["all variables nonzero", "x = 0", "y = 0"]
+        assert steps[1]["evidence"] == {"kind": "normals", "lhs": "0", "rhs": "0"}
+        assert all(step["evidence"]["kind"] == "normals" for step in steps)
+
     def test_structured_verdict(self, capsys):
         code, out, _ = run(
             capsys, "decide", "x", "y", "--theory", "iamd", "--format", "structured"

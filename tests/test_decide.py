@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -229,6 +230,28 @@ class TestDecideIamdzGil:
         assert d.verdict
         assert isinstance(d.evidence, RecursionTrace)
         assert all(step.decision.verdict for step in d.evidence.steps)
+        # x = 0, y = 0 reduces to the same 0 = 0 as x = 0 and is not decided again.
+        assert [step.description for step in d.evidence.steps] == [
+            "all variables nonzero",
+            "x = 0",
+            "y = 0",
+        ]
+
+    def test_one_case_per_zero_set(self, monkeypatch):
+        import meadows.decide
+
+        calls = []
+        monkeypatch.setattr(
+            meadows.decide, "decide_iamd", lambda *args: calls.append(args) or decide_iamd(*args)
+        )
+        names = [Var(f"v{i}") for i in range(8)]
+        lhs = reduce(Add, [Mul(v, Inv(v)) for v in names])
+        rhs = reduce(Add, [Mul(Inv(v), v) for v in names])
+        d = decide_iamdz_gil(lhs, rhs)
+        assert d.verdict
+        assert isinstance(d.evidence, RecursionTrace)
+        assert len(d.evidence.steps) == 2**8
+        assert len(calls) <= 2**8
 
     def test_rejects_foreign_constructors(self):
         from meadows import Neg
@@ -245,6 +268,19 @@ class TestDecideIamdzGil:
         ce = d.evidence
         assert isinstance(ce, Counterexample)
         assert ce.lhs_value != ce.rhs_value
+
+    def test_refutation_that_no_zero_pattern_finds(self):
+        # Both sides are 0 at x = 0 and 2 at x = 1.
+        t = Add(Mul(Mul(X, X), X), X)
+        u = Add(Mul(X, X), Mul(X, X))
+        d = decide_iamdz_gil(t, u)
+        assert not d.verdict
+        ce = d.evidence
+        assert isinstance(ce, Counterexample)
+        lhs = eval_total(t, ce.assignment, Carrier.NON_NEGATIVE)
+        rhs = eval_total(u, ce.assignment, Carrier.NON_NEGATIVE)
+        assert (lhs, rhs) == (ce.lhs_value, ce.rhs_value)
+        assert lhs != rhs
 
     def test_closed_equation_is_evaluated_once(self, monkeypatch):
         import meadows.decide
