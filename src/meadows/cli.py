@@ -10,9 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .decide import (
     Counterexample,
@@ -48,29 +47,20 @@ EXIT_ERROR = 2
 EXIT_UNDEFINED = 3
 
 
-@dataclass(frozen=True)
-class _TheoryChoice:
-    """Either a named open-term theory or closed-term decision at a signature."""
-
-    theory: Optional[TheoryId]
-    closed_sig: Optional[SignatureId]
+_OPEN_THEORIES = (TheoryId.IAMD, TheoryId.DAMD, TheoryId.RATIAZ_GIL, TheoryId.RATDAZ_GIL)
 
 
-def _theory_choice(text: str) -> _TheoryChoice:
-    named = {
-        "iamd": TheoryId.IAMD,
-        "damd": TheoryId.DAMD,
-        "ratiaz-gil": TheoryId.RATIAZ_GIL,
-        "ratdaz-gil": TheoryId.RATDAZ_GIL,
-    }
-    if text in named:
-        return _TheoryChoice(named[text], None)
+def _theory(text: str) -> Union[TheoryId, SignatureId]:
+    """A theory with an open-term procedure, or for ``closed:SIG`` the signature SIG."""
     if text.startswith("closed:"):
         sig_name = text.removeprefix("closed:")
         for sig in SignatureId:
             if sig.value == sig_name:
-                return _TheoryChoice(None, sig)
+                return sig
         raise argparse.ArgumentTypeError(f"unknown signature {sig_name!r} in {text!r}")
+    for theory in _OPEN_THEORIES:
+        if theory.value == text:
+            return theory
     raise argparse.ArgumentTypeError(
         f"{text!r} is not iamd, damd, ratiaz-gil, ratdaz-gil, or closed:SIG"
     )
@@ -89,23 +79,25 @@ def _parse_assignment(text: str, carrier: Carrier) -> dict[str, Fraction]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    # Each subcommand takes only the options it reads.
+    formatted = argparse.ArgumentParser(add_help=False)
+    formatted.add_argument(
         "--format", choices=("text", "structured"), default="text", help="output format"
     )
-    common.add_argument(
+    printed = argparse.ArgumentParser(add_help=False, parents=[formatted])
+    printed.add_argument(
+        "--numerals",
+        choices=("structural", "decimal"),
+        default="decimal",
+        help="print numerals as decimal literals or spelled out",
+    )
+    bounded = argparse.ArgumentParser(add_help=False, parents=[formatted])
+    bounded.add_argument(
         "--max-monomials",
         type=int,
         default=DEFAULT_MAX_MONOMIALS,
         metavar="N",
         help="abort normalization past this many monomials",
-    )
-    common.add_argument("--seed", type=int, default=0, metavar="N", help="sampling seed")
-    common.add_argument(
-        "--numerals",
-        choices=("structural", "decimal"),
-        default="decimal",
-        help="print numerals as decimal literals or spelled out",
     )
 
     top = argparse.ArgumentParser(
@@ -119,34 +111,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("parse", parents=[common], help="check and echo an expression")
+    p = sub.add_parser("parse", parents=[printed], help="check and echo an expression")
     p.add_argument("expr")
     p.add_argument("--sig", choices=[s.value for s in SignatureId], help="conformance check")
 
-    p = sub.add_parser("normalize", parents=[common], help="normal form of a term")
+    p = sub.add_parser("normalize", parents=[bounded], help="normal form of a term")
     p.add_argument("expr")
     p.add_argument("--sig", choices=_NORMALIZE_SIGS, required=True)
 
-    p = sub.add_parser("eval", parents=[common], help="exact evaluation")
+    p = sub.add_parser("eval", parents=[formatted], help="exact evaluation")
     p.add_argument("expr")
     p.add_argument("--assign", default="", metavar="X=Q,...", help="variable assignment")
     p.add_argument("--carrier", choices=[c.value for c in Carrier], default="all")
     p.add_argument("--punch", choices=[p.value for p in PunchId], help="partial semantics")
 
-    p = sub.add_parser("decide", parents=[common], help="decide a term equation")
+    p = sub.add_parser("decide", parents=[bounded], help="decide a term equation")
     p.add_argument("lhs")
     p.add_argument("rhs")
     p.add_argument(
         "--theory",
-        type=_theory_choice,
+        type=_theory,
         required=True,
         metavar="{iamd|damd|ratiaz-gil|ratdaz-gil|closed:SIG}",
     )
 
-    p = sub.add_parser("defined", parents=[common], help="syntactic definedness class")
+    p = sub.add_parser("defined", parents=[formatted], help="syntactic definedness class")
     p.add_argument("expr")
 
-    p = sub.add_parser("translate", parents=[common], help="between / and ^-1 forms")
+    p = sub.add_parser("translate", parents=[printed], help="between / and ^-1 forms")
     p.add_argument("expr")
     p.add_argument("--to", choices=("inv", "div"), required=True)
 
@@ -285,17 +277,15 @@ def _evidence_doc(evidence) -> dict:
 def _cmd_decide(args: argparse.Namespace) -> int:
     lhs = parse(args.lhs).term
     rhs = parse(args.rhs).term
-    choice: _TheoryChoice = args.theory
-    mm, seed = args.max_monomials, args.seed
-    if choice.closed_sig is not None:
-        decision = decide_closed(lhs, rhs, choice.closed_sig)
-    elif choice.theory is TheoryId.IAMD:
-        decision = decide_iamd(lhs, rhs, mm, seed)
-    elif choice.theory is TheoryId.RATIAZ_GIL:
-        decision = decide_iamdz_gil(lhs, rhs, mm, seed)
+    theory, mm = args.theory, args.max_monomials
+    if isinstance(theory, SignatureId):
+        decision = decide_closed(lhs, rhs, theory)
+    elif theory is TheoryId.IAMD:
+        decision = decide_iamd(lhs, rhs, mm)
+    elif theory is TheoryId.RATIAZ_GIL:
+        decision = decide_iamdz_gil(lhs, rhs, mm)
     else:
-        assert choice.theory is not None
-        decision = decide_divisive(lhs, rhs, choice.theory, mm, seed)
+        decision = decide_divisive(lhs, rhs, theory, mm)
     verdict = "true" if decision.verdict else "false"
     _emit(
         args,

@@ -20,16 +20,15 @@ which doubles as an independent oracle for the syntactic procedures.
 A false verdict always carries a concrete counterexample assignment.
 The zero-carrying search tries the zero patterns first and otherwise
 lifts the counterexample of the first failing case.  The zero-free
-search tries the all-ones assignment, then seeded small rationals; if
-none of those separate the sides, a guaranteed stage specializes the
-(nonzero) difference of the cross-product polynomials one variable at a
-time, which must succeed because a nonzero polynomial has only finitely
-many roots per variable.
+search tries the all-ones assignment; if that does not separate the
+sides, the two distinct cross-product polynomials are specialized one
+variable at a time to small positive integers at which they differ
+(``PosPoly.separating_point``), which always succeeds because a nonzero
+polynomial has only finitely many roots per variable.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
@@ -40,7 +39,6 @@ from .exceptions import NotClosed, NotInSignature
 from .normalize import (
     DEFAULT_MAX_MONOMIALS,
     ClosedNormal,
-    Monomial,
     PosPoly,
     split_inverse,
     zero_elim,
@@ -58,7 +56,6 @@ from .terms import (
 from .theories import TheoryId
 from .translate import div_to_inv
 
-_RANDOM_TRIES = 48
 _ZERO_PATTERN_LIMIT = 256
 
 
@@ -114,15 +111,15 @@ class Decision:
     evidence: Evidence
 
 
-def decide_iamd(
-    t: Term, u: Term, max_monomials: int = DEFAULT_MAX_MONOMIALS, seed: int = 0
-) -> Decision:
+def decide_iamd(t: Term, u: Term, max_monomials: int = DEFAULT_MAX_MONOMIALS) -> Decision:
     """Decide provable equality of two zero-free arithmetical terms.
 
     Splits both sides into polynomial fractions t1/t2 and u1/u2 and
     compares the cross products t1*u2 and u1*t2; the equation is
     provable iff they are the same polynomial.  False verdicts carry a
-    positive-rational counterexample.
+    positive counterexample: the all-ones point if it separates the
+    sides, otherwise a point of small positive integers at which the
+    cross products differ.
     """
     if not (conforms(t, SignatureId.IAMD) and conforms(u, SignatureId.IAMD)):
         raise NotInSignature("both sides must conform to the iamd signature")
@@ -132,60 +129,23 @@ def decide_iamd(
     right = b.numerator.mul(a.denominator, max_monomials)
     if left == right:
         return Decision(True, MatchedNormals(left, right))
-    variables = sorted({*free_vars(t), *free_vars(u)})
-    env = _positive_witness(t, u, variables, left, right, seed)
-    return Decision(
-        False,
-        Counterexample(env, eval_total(t, env, Carrier.POSITIVE), eval_total(u, env, Carrier.POSITIVE)),
-    )
+    ones = dict.fromkeys(sorted({*free_vars(t), *free_vars(u)}), Fraction(1))
+    found = _counterexample(t, u, ones, Carrier.POSITIVE)
+    if found.lhs_value == found.rhs_value:
+        # The sides differ wherever the cross products do, since the
+        # denominators are positive at positive points.  Every variable of
+        # the sides occurs in a cross product, so the point binds them all.
+        point = left.separating_point(right)
+        env = {v: Fraction(value) for v, value in point.items()}
+        found = _counterexample(t, u, env, Carrier.POSITIVE)
+    return Decision(False, found)
 
 
-def _positive_witness(
-    t: Term, u: Term, variables: list[str], left: PosPoly, right: PosPoly, seed: int
-) -> dict[str, Fraction]:
-    """A positive assignment separating two sides with distinct cross products."""
-    ones = {v: Fraction(1) for v in variables}
-    if eval_total(t, ones, Carrier.POSITIVE) != eval_total(u, ones, Carrier.POSITIVE):
-        return ones
-    rng = random.Random(seed)
-    for _ in range(_RANDOM_TRIES):
-        env = {v: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for v in variables}
-        if eval_total(t, env, Carrier.POSITIVE) != eval_total(u, env, Carrier.POSITIVE):
-            return env
-    # Guaranteed stage: the cross products differ as polynomials, and the
-    # sides differ wherever the cross products do (denominators are
-    # positive at positive points).  Specializing one variable at a time
-    # with a value from {1..deg+1} keeps the difference nonzero, since a
-    # polynomial of degree d in one variable over an integral domain has
-    # at most d roots.
-    diff: dict[Monomial, int] = {}
-    for mono, coeff in left.items():
-        diff[mono] = diff.get(mono, 0) + coeff
-    for mono, coeff in right.items():
-        diff[mono] = diff.get(mono, 0) - coeff
-    diff = {m: c for m, c in diff.items() if c != 0}
-    env = {}
-    for var in sorted({v for mono in diff for v, _ in mono}):
-        degree = max((dict(mono).get(var, 0) for mono in diff), default=0)
-        for candidate in range(1, degree + 2):
-            substituted = _substitute_int(diff, var, candidate)
-            if substituted:
-                env[var] = Fraction(candidate)
-                diff = substituted
-                break
-    for v in variables:
-        env.setdefault(v, Fraction(1))
-    return env
-
-
-def _substitute_int(diff: dict[Monomial, int], var: str, value: int) -> dict[Monomial, int]:
-    out: dict[Monomial, int] = {}
-    for mono, coeff in diff.items():
-        exps = dict(mono)
-        exponent = exps.pop(var, 0)
-        key = tuple(sorted(exps.items()))
-        out[key] = out.get(key, 0) + coeff * value**exponent
-    return {m: c for m, c in out.items() if c != 0}
+def _counterexample(
+    t: Term, u: Term, env: dict[str, Fraction], carrier: Carrier
+) -> Counterexample:
+    """Both sides evaluated at ``env``; a counterexample when the values differ."""
+    return Counterexample(env, eval_total(t, env, carrier), eval_total(u, env, carrier))
 
 
 def decide_closed(t: Term, u: Term, sig: SignatureId) -> Decision:
@@ -210,9 +170,7 @@ def decide_closed(t: Term, u: Term, sig: SignatureId) -> Decision:
     return Decision(lhs == rhs, MatchedNormals(lhs, rhs))
 
 
-def decide_iamdz_gil(
-    t: Term, u: Term, max_monomials: int = DEFAULT_MAX_MONOMIALS, seed: int = 0
-) -> Decision:
+def decide_iamdz_gil(t: Term, u: Term, max_monomials: int = DEFAULT_MAX_MONOMIALS) -> Decision:
     """Decide provability from the zero-carrying theory plus the general inverse law.
 
     Under the law every variable is 0 or invertible, so the equation is
@@ -233,15 +191,13 @@ def decide_iamdz_gil(
     # separating assignment refutes it outright; searching before the
     # case split also yields the simplest counterexamples first.
     for env in zero_pattern_assignments(variables):
-        lhs = eval_total(t, env, Carrier.NON_NEGATIVE)
-        rhs = eval_total(u, env, Carrier.NON_NEGATIVE)
-        if lhs != rhs:
-            return Decision(False, Counterexample(env, lhs, rhs))
+        found = _counterexample(t, u, env, Carrier.NON_NEGATIVE)
+        if found.lhs_value != found.rhs_value:
+            return Decision(False, found)
     if not variables:
         # A closed equation was settled by its one zero pattern, the empty one.
-        return Decision(
-            True, MatchedNormals(ClosedNormal.from_rational(lhs), ClosedNormal.from_rational(rhs))
-        )
+        value = ClosedNormal.from_rational(found.lhs_value)
+        return Decision(True, MatchedNormals(value, value))
     steps: list[TraceStep] = []
     decided: set[tuple[Term, Term]] = set()
     for zeros in _zero_sets(variables):
@@ -260,7 +216,7 @@ def decide_iamdz_gil(
         if isinstance(s, Zero):
             decision = Decision(True, MatchedNormals(ClosedNormal.zero(), ClosedNormal.zero()))
         else:
-            decision = decide_iamd(s, s2, max_monomials, seed)
+            decision = decide_iamd(s, s2, max_monomials)
             if not decision.verdict:
                 assert isinstance(decision.evidence, Counterexample)
                 return _refutation(t, u, variables, decision.evidence.assignment)
@@ -274,16 +230,8 @@ def decide_iamdz_gil(
 
 def _refutation(t: Term, u: Term, variables: list[str], env: dict[str, Fraction]) -> Decision:
     """A false verdict at ``env``, with every variable it leaves out set to 0."""
-    full = {v: Fraction(0) for v in variables}
-    full.update(env)
-    return Decision(
-        False,
-        Counterexample(
-            full,
-            eval_total(t, full, Carrier.NON_NEGATIVE),
-            eval_total(u, full, Carrier.NON_NEGATIVE),
-        ),
-    )
+    full = {**dict.fromkeys(variables, Fraction(0)), **env}
+    return Decision(False, _counterexample(t, u, full, Carrier.NON_NEGATIVE))
 
 
 def _zero_sets(variables: list[str]):
@@ -303,11 +251,7 @@ def zero_pattern_assignments(variables: list[str]):
 
 
 def decide_divisive(
-    t: Term,
-    u: Term,
-    theory: TheoryId,
-    max_monomials: int = DEFAULT_MAX_MONOMIALS,
-    seed: int = 0,
+    t: Term, u: Term, theory: TheoryId, max_monomials: int = DEFAULT_MAX_MONOMIALS
 ) -> Decision:
     """Decide a divisive equation by translating division away.
 
@@ -325,4 +269,4 @@ def decide_divisive(
         raise ValueError(f"no divisive decision procedure for theory {theory.value}")
     if not (conforms(t, sig) and conforms(u, sig)):
         raise NotInSignature(f"both sides must conform to the {sig.value} signature")
-    return procedure(div_to_inv(t), div_to_inv(u), max_monomials, seed)
+    return procedure(div_to_inv(t), div_to_inv(u), max_monomials)

@@ -114,8 +114,29 @@ class PosPoly:
             raise ValueError("polynomial is not constant")
         return self._coeffs[()]
 
-    def max_exponent(self) -> int:
-        return max((exp for mono in self._coeffs for _, exp in mono), default=0)
+    def separating_point(self, other: "PosPoly") -> dict[str, int]:
+        """Positive integers, one per variable of either polynomial, at which
+        this polynomial and a distinct ``other`` take different values.
+
+        Fixes the variables one at a time, each to the least of 1..d+1 that
+        keeps the two specializations distinct, where d is its highest
+        exponent: the difference is a polynomial of degree at most d in that
+        variable, so at most d of those values are roots.  Positive values
+        keep every coefficient positive, so no signed difference is formed.
+        """
+        if self == other:
+            raise ValueError("equal polynomials take the same value everywhere")
+        a, b = self._coeffs, other._coeffs
+        point: dict[str, int] = {}
+        for var in sorted({*self.variables, *other.variables}):
+            degree = max(dict(mono).get(var, 0) for mono in (*a, *b))
+            for value in range(1, degree + 2):
+                a_at, b_at = _specialize(a, var, value), _specialize(b, var, value)
+                if a_at != b_at:
+                    break
+            point[var] = value
+            a, b = a_at, b_at
+        return point
 
     def add(self, other: "PosPoly") -> "PosPoly":
         merged = dict(self._coeffs)
@@ -164,6 +185,17 @@ class PosPoly:
             else:
                 parts.append("*".join([str(coeff), *factors]))
         return " + ".join(parts)
+
+
+def _specialize(coeffs: Mapping[Monomial, int], var: str, value: int) -> dict[Monomial, int]:
+    """The coefficient map with ``var`` set to the positive integer ``value``."""
+    out: dict[Monomial, int] = {}
+    for mono, coeff in coeffs.items():
+        exps = dict(mono)
+        exponent = exps.pop(var, 0)
+        key = tuple(exps.items())  # removing one variable keeps the order
+        out[key] = out.get(key, 0) + coeff * value**exponent
+    return out
 
 
 @dataclass(frozen=True)

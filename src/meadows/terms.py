@@ -231,9 +231,6 @@ class SignatureId(Enum):
     def constructors(self) -> frozenset[type]:
         return _SIGNATURE_CONSTRUCTORS[self]
 
-    def allows(self, node_type: type) -> bool:
-        return node_type is Var or node_type in _SIGNATURE_CONSTRUCTORS[self]
-
     @property
     def has_zero(self) -> bool:
         return Zero in _SIGNATURE_CONSTRUCTORS[self]

@@ -135,7 +135,7 @@ def test_criterion_04_refutations_carry_real_counterexamples(criterion):
             ft, fu = split_inverse(t), split_inverse(u)
             if ft.numerator * fu.denominator == fu.numerator * ft.denominator:
                 continue
-            d = decide_iamd(t, u, seed=checked)
+            d = decide_iamd(t, u)
             assert not d.verdict
             ce = d.evidence
             assert isinstance(ce, Counterexample)

@@ -291,6 +291,20 @@ class TestTranslateCommand:
         assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "x", "--numerals", "structural"],
+        ["decide", "x", "x", "--theory", "iamd", "--seed", "1"],
+        ["defined", "x", "--max-monomials", "5"],
+    ],
+)
+def test_option_the_subcommand_does_not_read_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+
+
 class TestEntryPoint:
     def test_console_script_installed(self):
         exe = shutil.which("meadows")

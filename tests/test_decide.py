@@ -118,7 +118,14 @@ class TestDecideIamd:
             decide_iamd(big, big, max_monomials=10)
 
     def test_deterministic(self):
-        assert decide_iamd(X, Y, seed=5) == decide_iamd(X, Y, seed=5)
+        assert decide_iamd(X, Y) == decide_iamd(X, Y)
+
+    def test_exact_counterexample_when_all_ones_agree(self):
+        # Both sides are 2 at x = 1; the cross products x^3 + x and 2*x^2
+        # first differ at x = 2.
+        d = decide_iamd(Add(Mul(Mul(X, X), X), X), Add(Mul(X, X), Mul(X, X)))
+        assert not d.verdict
+        assert d.evidence == Counterexample({"x": Fraction(2)}, Fraction(10), Fraction(8))
 
     @given(st.integers(0, 400))
     @settings(max_examples=60, deadline=None)
@@ -141,7 +148,7 @@ class TestDecideIamd:
         rng = random.Random(seed)
         t = random_term(rng, SignatureId.IAMD, max_size=12, variables=("x", "y"))
         u = random_term(rng, SignatureId.IAMD, max_size=12, variables=("x", "y"))
-        d = decide_iamd(t, u, seed=seed)
+        d = decide_iamd(t, u)
         if d.verdict:
             assert isinstance(d.evidence, MatchedNormals)
             assert d.evidence.lhs == d.evidence.rhs
@@ -277,6 +284,7 @@ class TestDecideIamdzGil:
         assert not d.verdict
         ce = d.evidence
         assert isinstance(ce, Counterexample)
+        assert ce.assignment == {"x": Fraction(2)}
         lhs = eval_total(t, ce.assignment, Carrier.NON_NEGATIVE)
         rhs = eval_total(u, ce.assignment, Carrier.NON_NEGATIVE)
         assert (lhs, rhs) == (ce.lhs_value, ce.rhs_value)
@@ -295,8 +303,8 @@ class TestDecideIamdzGil:
 
     def test_deterministic(self):
         shared = Mul(X, Add(X, Y))
-        a = decide_iamdz_gil(Mul(shared, Inv(shared)), Mul(X, Inv(X)), seed=3)
-        b = decide_iamdz_gil(Mul(shared, Inv(shared)), Mul(X, Inv(X)), seed=3)
+        a = decide_iamdz_gil(Mul(shared, Inv(shared)), Mul(X, Inv(X)))
+        b = decide_iamdz_gil(Mul(shared, Inv(shared)), Mul(X, Inv(X)))
         assert a == b
 
     @given(st.integers(0, 400))
@@ -331,7 +339,7 @@ class TestDecideIamdzGil:
         rng = random.Random(seed)
         t = random_term(rng, SignatureId.IAMDZ, max_size=10, variables=("x", "y"))
         u = random_term(rng, SignatureId.IAMDZ, max_size=10, variables=("x", "y"))
-        d = decide_iamdz_gil(t, u, seed=seed)
+        d = decide_iamdz_gil(t, u)
         if not d.verdict:
             ce = d.evidence
             assert isinstance(ce, Counterexample)

@@ -141,6 +141,18 @@ class TestPosPolyLaws:
         assert (p + q).evaluate(env) == p.evaluate(env) + q.evaluate(env)
         assert (p * q).evaluate(env) == p.evaluate(env) * q.evaluate(env)
 
+    @given(small_polys(), small_polys())
+    def test_separating_point(self, p, q):
+        with pytest.raises(ValueError):
+            p.separating_point(p)
+        if p == q:
+            return
+        point = p.separating_point(q)
+        assert set(point) == {*p.variables, *q.variables}
+        assert all(isinstance(v, int) and v >= 1 for v in point.values())
+        env = {name: Fraction(v) for name, v in point.items()}
+        assert p.evaluate(env) != q.evaluate(env)
+
 
 class TestPolyNormal:
     def test_binomial_square(self):
