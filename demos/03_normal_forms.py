@@ -1,6 +1,6 @@
 """
-Normal forms: positive polynomials and coprime fractions
-========================================================
+Normal forms: positive polynomials and exact rationals
+======================================================
 
 """
 
@@ -29,21 +29,22 @@ t = Add(x, Inv(y))
 fraction = split_inverse(t)
 print(render(t), "splits into", fraction.render())
 
-# Closed terms reduce all the way to coprime integer fractions.
+# Closed terms reduce all the way to their value, a fractions.Fraction,
+# which is always kept in lowest terms.
 from meadows import closed_normal_iamd, closed_normal_iamdz, closed_normal_full, parse_term
 
 half_plus_third = parse_term("2^-1 + 3^-1")
-print("2^-1 + 3^-1 =", closed_normal_iamd(half_plus_third).render())
+print("2^-1 + 3^-1 =", closed_normal_iamd(half_plus_third))
 
 # With 0 in the signature the inverse is zero-totalized: 0^-1 = 0, and
-# the normal form may be the zero form.
-print("0^-1       =", closed_normal_iamdz(parse_term("0^-1")).render())
-print("0 + 3/9    =", closed_normal_iamdz(parse_term("0 + 3 * 9^-1")).render())
+# the normal form may be 0.
+print("0^-1       =", closed_normal_iamdz(parse_term("0^-1")))
+print("0 + 3/9    =", closed_normal_iamdz(parse_term("0 + 3 * 9^-1")))
 
 # Full meadow terms (with - and /) normalize through exact evaluation,
 # signs and all.
-print("-(2/4)     =", closed_normal_full(parse_term("-(2 * 4^-1)")).render())
-print("1/(1 + -1) =", closed_normal_full(parse_term("1 / (1 + -1)")).render())
+print("-(2/4)     =", closed_normal_full(parse_term("-(2 * 4^-1)")))
+print("1/(1 + -1) =", closed_normal_full(parse_term("1 / (1 + -1)")))
 
 # Open zero-carrying terms first have 0 eliminated: either everything
 # collapses to 0 or a zero-free term remains.

@@ -24,7 +24,7 @@ from .decide import (
     decide_iamdz_gil,
 )
 from .evaluate import Carrier, eval_total, parse_rational
-from .exceptions import MeadowError, ParseError, SchemaError
+from .exceptions import MeadowError, SchemaError
 from .normalize import (
     DEFAULT_MAX_MONOMIALS,
     closed_normal_full,
@@ -95,9 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     bounded.add_argument(
         "--max-monomials",
         type=int,
-        default=DEFAULT_MAX_MONOMIALS,
         metavar="N",
-        help="abort normalization past this many monomials",
+        help=f"abort normalization past this many monomials (default {DEFAULT_MAX_MONOMIALS})",
     )
 
     top = argparse.ArgumentParser(
@@ -174,19 +173,18 @@ def _cmd_parse(args: argparse.Namespace) -> int:
 def _cmd_normalize(args: argparse.Namespace) -> int:
     term = parse(args.expr).term
     sig = SignatureId(args.sig)
-    mm = args.max_monomials
     if is_closed(term):
         if sig is SignatureId.IAMD:
-            normal = closed_normal_iamd(term, mm)
+            normal = closed_normal_iamd(term)
         elif sig is SignatureId.IAMDZ:
-            normal = closed_normal_iamdz(term, mm)
+            normal = closed_normal_iamdz(term)
         else:
             normal = closed_normal_full(term)
         _emit(
             args,
-            normal.render(),
+            str(normal),
             {
-                "kind": "zero" if normal.is_zero else "fraction",
+                "kind": "zero" if normal == 0 else "fraction",
                 "numerator": normal.numerator,
                 "denominator": normal.denominator,
             },
@@ -203,7 +201,7 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
         if isinstance(inversive, Zero):
             _emit(args, "0", {"kind": "zero", "numerator": 0, "denominator": 1})
             return EXIT_OK
-    fraction = split_inverse(inversive, mm)
+    fraction = split_inverse(inversive, _bound(args))
     _emit(
         args,
         fraction.render(),
@@ -249,8 +247,8 @@ def _evidence_doc(evidence) -> dict:
     if isinstance(evidence, MatchedNormals):
         return {
             "kind": "normals",
-            "lhs": evidence.lhs.render(),
-            "rhs": evidence.rhs.render(),
+            "lhs": str(evidence.lhs),
+            "rhs": str(evidence.rhs),
         }
     if isinstance(evidence, Counterexample):
         return {
@@ -277,7 +275,7 @@ def _evidence_doc(evidence) -> dict:
 def _cmd_decide(args: argparse.Namespace) -> int:
     lhs = parse(args.lhs).term
     rhs = parse(args.rhs).term
-    theory, mm = args.theory, args.max_monomials
+    theory, mm = args.theory, _bound(args)
     if isinstance(theory, SignatureId):
         decision = decide_closed(lhs, rhs, theory)
     elif theory is TheoryId.IAMD:
@@ -320,13 +318,19 @@ _COMMANDS = {
 }
 
 
+def _bound(args: argparse.Namespace) -> int:
+    return DEFAULT_MAX_MONOMIALS if args.max_monomials is None else args.max_monomials
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    closed = args.command == "decide" and isinstance(args.theory, SignatureId)
+    if closed and args.max_monomials is not None:
+        # Closed equations are decided by exact evaluation, which forms no polynomial.
+        parser.error("--max-monomials does not apply to closed:SIG theories")
     try:
         return _COMMANDS[args.command](args)
-    except ParseError as exc:
-        print(f"error: {exc} (line {exc.line}, column {exc.column})", file=sys.stderr)
-        return EXIT_ERROR
     except (MeadowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -38,7 +38,6 @@ from .evaluate import Carrier, eval_total
 from .exceptions import NotClosed, NotInSignature
 from .normalize import (
     DEFAULT_MAX_MONOMIALS,
-    ClosedNormal,
     PosPoly,
     split_inverse,
     zero_elim,
@@ -61,13 +60,14 @@ _ZERO_PATTERN_LIMIT = 256
 
 @dataclass(frozen=True)
 class MatchedNormals:
-    """The two normal forms the procedure compared (equal iff verdict true)."""
+    """The two normal forms the procedure compared (equal iff verdict true):
+    cross-product polynomials, or the values of closed sides."""
 
-    lhs: Union[PosPoly, ClosedNormal]
-    rhs: Union[PosPoly, ClosedNormal]
+    lhs: Union[PosPoly, Fraction]
+    rhs: Union[PosPoly, Fraction]
 
     def render(self) -> str:
-        return f"{self.lhs.render()}  vs  {self.rhs.render()}"
+        return f"{self.lhs}  vs  {self.rhs}"
 
 
 @dataclass(frozen=True)
@@ -165,8 +165,7 @@ def decide_closed(t: Term, u: Term, sig: SignatureId) -> Decision:
         carrier = Carrier.NON_NEGATIVE
     else:
         carrier = Carrier.ALL
-    lhs = ClosedNormal.from_rational(eval_total(t, {}, carrier))
-    rhs = ClosedNormal.from_rational(eval_total(u, {}, carrier))
+    lhs, rhs = eval_total(t, {}, carrier), eval_total(u, {}, carrier)
     return Decision(lhs == rhs, MatchedNormals(lhs, rhs))
 
 
@@ -196,8 +195,7 @@ def decide_iamdz_gil(t: Term, u: Term, max_monomials: int = DEFAULT_MAX_MONOMIAL
             return Decision(False, found)
     if not variables:
         # A closed equation was settled by its one zero pattern, the empty one.
-        value = ClosedNormal.from_rational(found.lhs_value)
-        return Decision(True, MatchedNormals(value, value))
+        return Decision(True, MatchedNormals(found.lhs_value, found.rhs_value))
     steps: list[TraceStep] = []
     decided: set[tuple[Term, Term]] = set()
     for zeros in _zero_sets(variables):
@@ -214,7 +212,7 @@ def decide_iamdz_gil(t: Term, u: Term, max_monomials: int = DEFAULT_MAX_MONOMIAL
             ones = dict.fromkeys(free_vars(s) + free_vars(s2), Fraction(1))
             return _refutation(t, u, variables, ones)
         if isinstance(s, Zero):
-            decision = Decision(True, MatchedNormals(ClosedNormal.zero(), ClosedNormal.zero()))
+            decision = Decision(True, MatchedNormals(Fraction(0), Fraction(0)))
         else:
             decision = decide_iamd(s, s2, max_monomials)
             if not decision.verdict:

@@ -5,9 +5,9 @@ positive integer coefficients (``PosPoly``); positivity is structural,
 since the signature has no subtraction.  A term with inverses splits
 into a numerator/denominator pair of such polynomials (``PolyFraction``)
 by pushing the inverse through products and collapsing double inverses.
-Closed terms reduce further to a coprime integer fraction
-(``ClosedNormal``), with an explicit zero form once the constant 0 is in
-the signature.
+Closed terms reduce further to their rational value, a
+``fractions.Fraction``: positive without 0 in the signature, non-negative
+with it, and of any sign for full meadow terms.
 
 Two inverse-free terms are provably equal over the arithmetical-meadow
 axioms exactly when their ``PosPoly`` forms coincide, which is what the
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Iterator, Mapping
 
 from .exceptions import ContainsInverse, NotClosed, NotInSignature, SizeLimit
@@ -33,6 +32,7 @@ from .terms import (
     Var,
     Zero,
     conforms,
+    constructors,
     fold,
     free_vars,
     rebuild,
@@ -145,6 +145,11 @@ class PosPoly:
         return PosPoly(merged)
 
     def mul(self, other: "PosPoly", max_monomials: int = DEFAULT_MAX_MONOMIALS) -> "PosPoly":
+        # x * 1 = x; a PosPoly is immutable, so the other factor is the product.
+        if other._coeffs == _UNIT._coeffs:
+            return self
+        if self._coeffs == _UNIT._coeffs:
+            return other
         product: dict[Monomial, int] = {}
         for mono_a, coeff_a in self._coeffs.items():
             exps_a = dict(mono_a)
@@ -186,6 +191,11 @@ class PosPoly:
                 parts.append("*".join([str(coeff), *factors]))
         return " + ".join(parts)
 
+    __str__ = render
+
+
+_UNIT = PosPoly.constant(1)
+
 
 def _specialize(coeffs: Mapping[Monomial, int], var: str, value: int) -> dict[Monomial, int]:
     """The coefficient map with ``var`` set to the positive integer ``value``."""
@@ -217,85 +227,6 @@ class PolyFraction:
         return f"({self.numerator.render()}) / ({self.denominator.render()})"
 
 
-@dataclass(frozen=True)
-class ClosedNormal:
-    """A coprime integer fraction, or zero (numerator 0, denominator 1).
-
-    The numerator carries the sign; it is >= 1 for terms over the
-    zero-free arithmetical signature, >= 0 once 0 is present, and any
-    integer for full meadow terms.
-    """
-
-    numerator: int
-    denominator: int
-
-    def __post_init__(self):
-        if self.denominator < 1:
-            raise ValueError("denominator must be >= 1")
-        if self.numerator == 0 and self.denominator != 1:
-            raise ValueError("zero is represented as 0/1")
-        if gcd(abs(self.numerator), self.denominator) != 1:
-            raise ValueError(f"{self.numerator}/{self.denominator} is not in lowest terms")
-
-    @classmethod
-    def zero(cls) -> "ClosedNormal":
-        return cls(0, 1)
-
-    @classmethod
-    def fraction(cls, numerator: int, denominator: int) -> "ClosedNormal":
-        if denominator == 0:
-            raise ValueError("denominator must be nonzero")
-        if denominator < 0:
-            numerator, denominator = -numerator, -denominator
-        if numerator == 0:
-            return cls.zero()
-        g = gcd(abs(numerator), denominator)
-        return cls(numerator // g, denominator // g)
-
-    @classmethod
-    def from_rational(cls, value: Fraction) -> "ClosedNormal":
-        return cls(value.numerator, value.denominator)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.numerator == 0
-
-    def as_rational(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
-
-    def render(self) -> str:
-        if self.is_zero:
-            return "0"
-        if self.denominator == 1:
-            return str(self.numerator)
-        return f"{self.numerator}/{self.denominator}"
-
-
-def poly_normal(t: Term, max_monomials: int = DEFAULT_MAX_MONOMIALS) -> PosPoly:
-    """Normalize an inverse-free term over {1, +, *} to a PosPoly.
-
-    Fully distributes products over sums and merges equal monomials by
-    adding coefficients.  Two inverse-free terms are equal over the
-    arithmetical-meadow axioms iff their normal forms are equal.
-    """
-
-    def visit(node: Term, a=None, b=None) -> PosPoly:
-        kind = node.__class__
-        if kind is Add:
-            return a.add(b)
-        if kind is Mul:
-            return a.mul(b, max_monomials)
-        if kind is One:
-            return PosPoly.constant(1)
-        if kind is Var:
-            return PosPoly.variable(node.name)
-        if kind is Inv:
-            raise ContainsInverse("poly_normal expects an inverse-free term")
-        raise NotInSignature(f"{kind.__name__} is not an inverse-free iamd constructor")
-
-    return fold(t, visit)
-
-
 def split_inverse(t: Term, max_monomials: int = DEFAULT_MAX_MONOMIALS) -> PolyFraction:
     """Split a zero-free arithmetical term into an inverse-free fraction.
 
@@ -312,6 +243,8 @@ def split_inverse(t: Term, max_monomials: int = DEFAULT_MAX_MONOMIALS) -> PolyFr
             num = a.numerator.mul(b.denominator, max_monomials).add(
                 b.numerator.mul(a.denominator, max_monomials)
             )
+            if len(num) > max_monomials:
+                raise SizeLimit(len(num), max_monomials)
             return PolyFraction(num, a.denominator.mul(b.denominator, max_monomials))
         if kind is Mul:
             return PolyFraction(
@@ -321,29 +254,40 @@ def split_inverse(t: Term, max_monomials: int = DEFAULT_MAX_MONOMIALS) -> PolyFr
         if kind is Inv:
             return PolyFraction(a.denominator, a.numerator)
         if kind is One:
-            one = PosPoly.constant(1)
-            return PolyFraction(one, one)
+            return PolyFraction(_UNIT, _UNIT)
         if kind is Var:
-            return PolyFraction(PosPoly.variable(node.name), PosPoly.constant(1))
+            return PolyFraction(PosPoly.variable(node.name), _UNIT)
         raise NotInSignature(f"{kind.__name__} does not occur in the iamd signature")
 
     return fold(t, visit)
 
 
-def closed_normal_iamd(t: Term, max_monomials: int = DEFAULT_MAX_MONOMIALS) -> ClosedNormal:
-    """Coprime-fraction normal form of a closed zero-free term.
+def poly_normal(t: Term, max_monomials: int = DEFAULT_MAX_MONOMIALS) -> PosPoly:
+    """Normalize an inverse-free term over {1, +, *} to a PosPoly.
 
-    Always a strictly positive fraction; closed terms over {1, +, *, ^-1}
-    cannot denote 0.
+    Fully distributes products over sums and merges equal monomials by
+    adding coefficients.  Two inverse-free terms are equal over the
+    arithmetical-meadow axioms iff their normal forms are equal.  Without
+    an inverse, ``split_inverse`` leaves the denominator 1, so the
+    numerator is the normal form.
+    """
+    if Inv in constructors(t):
+        raise ContainsInverse("poly_normal expects an inverse-free term")
+    return split_inverse(t, max_monomials).numerator
+
+
+def closed_normal_iamd(t: Term) -> Fraction:
+    """Normal form of a closed zero-free term: its value, a positive fraction.
+
+    Closed terms over {1, +, *, ^-1} cannot denote 0.  Every polynomial of
+    the split is a constant, so no monomial bound applies.
     """
     if not conforms(t, SignatureId.IAMD):
         raise NotInSignature("term does not conform to the iamd signature")
     if free_vars(t):
         raise NotClosed(f"term has free variables: {', '.join(free_vars(t))}")
-    split = split_inverse(t, max_monomials)
-    return ClosedNormal.fraction(
-        split.numerator.constant_value(), split.denominator.constant_value()
-    )
+    split = split_inverse(t)
+    return Fraction(split.numerator.constant_value(), split.denominator.constant_value())
 
 
 def zero_elim(t: Term) -> Term:
@@ -369,19 +313,19 @@ def zero_elim(t: Term) -> Term:
     return fold(t, visit)
 
 
-def closed_normal_iamdz(t: Term, max_monomials: int = DEFAULT_MAX_MONOMIALS) -> ClosedNormal:
-    """Normal form of a closed term over {0, 1, +, *, ^-1}: zero or a coprime fraction."""
+def closed_normal_iamdz(t: Term) -> Fraction:
+    """Normal form of a closed term over {0, 1, +, *, ^-1}: its value, 0 or positive."""
     if not conforms(t, SignatureId.IAMDZ):
         raise NotInSignature("term does not conform to the iamdz signature")
     if free_vars(t):
         raise NotClosed(f"term has free variables: {', '.join(free_vars(t))}")
     reduced = zero_elim(t)
     if isinstance(reduced, Zero):
-        return ClosedNormal.zero()
-    return closed_normal_iamd(reduced, max_monomials)
+        return Fraction(0)
+    return closed_normal_iamd(reduced)
 
 
-def closed_normal_full(t: Term) -> ClosedNormal:
+def closed_normal_full(t: Term) -> Fraction:
     """Signed normal form of a closed full-meadow term (inversive or divisive).
 
     Computed by exact zero-totalized evaluation; in the initial algebra,
@@ -393,4 +337,4 @@ def closed_normal_full(t: Term) -> ClosedNormal:
         raise NotClosed(f"term has free variables: {', '.join(free_vars(t))}")
     from .evaluate import Carrier, eval_total
 
-    return ClosedNormal.from_rational(eval_total(t, {}, Carrier.ALL))
+    return eval_total(t, {}, Carrier.ALL)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from meadows import (
     Add,
     Carrier,
-    ClosedNormal,
     Counterexample,
     Decision,
     Div,
@@ -229,7 +228,7 @@ class TestDecideIamdzGil:
         d = decide_iamdz_gil(Inv(ZERO), ZERO)
         assert d.verdict
         assert isinstance(d.evidence, MatchedNormals)
-        assert d.evidence.lhs == ClosedNormal.zero()
+        assert d.evidence.lhs == Fraction(0)
 
     def test_alternative_invertibility(self):
         shared = Mul(X, Add(X, Y))
@@ -289,6 +288,19 @@ class TestDecideIamdzGil:
         rhs = eval_total(u, ce.assignment, Carrier.NON_NEGATIVE)
         assert (lhs, rhs) == (ce.lhs_value, ce.rhs_value)
         assert lhs != rhs
+
+    def test_refutation_where_exactly_one_side_is_zero(self):
+        # Only the all-zero set separates the sides; with nine variables it
+        # lies past the zero-pattern search, so the case split refutes it.
+        total = Var("a")
+        for name in "bcdefghi":
+            total = Add(total, Var(name))
+        d = decide_iamdz_gil(Mul(total, Inv(total)), ONE)
+        assert not d.verdict
+        ce = d.evidence
+        assert isinstance(ce, Counterexample)
+        assert ce.assignment == dict.fromkeys("abcdefghi", Fraction(0))
+        assert (ce.lhs_value, ce.rhs_value) == (0, 1)
 
     def test_closed_equation_is_evaluated_once(self, monkeypatch):
         import meadows.decide
@@ -370,12 +382,12 @@ class TestDecideClosed:
         d = decide_closed(t, u, SignatureId.IAMD)
         assert d.verdict
         assert isinstance(d.evidence, MatchedNormals)
-        assert d.evidence.lhs == ClosedNormal(2, 3)
+        assert d.evidence.lhs == Fraction(2, 3)
 
     def test_zero_inverse_differs_from_one(self):
         d = decide_closed(Inv(ZERO), ONE, SignatureId.IAMDZ)
         assert not d.verdict
-        assert d.evidence == MatchedNormals(ClosedNormal.zero(), ClosedNormal(1, 1))
+        assert d.evidence == MatchedNormals(Fraction(0), Fraction(1, 1))
 
     def test_one_equals_one(self):
         assert decide_closed(ONE, ONE, SignatureId.IAMD).verdict

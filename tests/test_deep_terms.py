@@ -20,7 +20,6 @@ from meadows import (
     ONE,
     Add,
     Carrier,
-    ClosedNormal,
     ContainsInverse,
     DefClass,
     Defined,
@@ -190,7 +189,7 @@ def test_normal_forms(deep):
     assert zero_free == t
     if kind == "numeral":
         assert poly == PosPoly.constant(DEPTH)
-        assert closed_iamd == closed_iamdz == closed_full == ClosedNormal(DEPTH, 1)
+        assert closed_iamd == closed_iamdz == closed_full == Fraction(DEPTH, 1)
     else:
         assert all(isinstance(r, NotClosed) for r in results[3:])
     if kind == "power":
