@@ -66,6 +66,12 @@ def _theory(text: str) -> Union[TheoryId, SignatureId]:
     )
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
+
+
 def _parse_assignment(text: str, carrier: Carrier) -> dict[str, Fraction]:
     env: dict[str, Fraction] = {}
     if not text:
@@ -94,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     bounded = argparse.ArgumentParser(add_help=False, parents=[formatted])
     bounded.add_argument(
         "--max-monomials",
-        type=int,
+        type=_positive_int,
         metavar="N",
         help=f"abort normalization past this many monomials (default {DEFAULT_MAX_MONOMIALS})",
     )

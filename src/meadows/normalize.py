@@ -11,13 +11,16 @@ with it, and of any sign for full meadow terms.
 
 Two inverse-free terms are provably equal over the arithmetical-meadow
 axioms exactly when their ``PosPoly`` forms coincide, which is what the
-decision procedures in :mod:`meadows.decide` rely on.
+decision procedures in :mod:`meadows.decide` rely on.  A ``PosPoly``
+packs each monomial into one int, so that multiplying two monomials is
+one integer addition (Monagan & Pearce, CASC 2007).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Iterator, Mapping
 
 from .exceptions import ContainsInverse, NotClosed, NotInSignature, SizeLimit
@@ -42,19 +45,29 @@ from .terms import (
 # variable name, every exponent >= 1; () is the constant monomial.
 Monomial = tuple[tuple[str, int], ...]
 
+# Sorted variable names and a field width in bits; see PosPoly.
+Layout = tuple[tuple[str, ...], int]
+
 DEFAULT_MAX_MONOMIALS = 100_000
+_WIDTH = 8
 
 
 class PosPoly:
     """Multivariate polynomial whose coefficients are all >= 1.
 
     The zero polynomial does not exist here: the mapping is never empty.
-    Equality is plain map equality, independent of any monomial order;
-    the graded-lexicographic order is used only for printing and
-    deterministic iteration.
+    Each monomial is packed into one int over a ``Layout``: the total
+    degree in the unbounded top field, then one field per name, the first
+    name most significant.  So a monomial product is an int sum, graded-lex
+    order is int order, and the constant monomial is 0 in every layout.
+    Exponents are bounded by the sum of the factors' bounds for a product
+    and their maximum for a sum; operands that differ in layout, or whose
+    bound sum would fill a field, are first repacked to the union of their
+    names at a doubled width, so no carry crosses fields.  Equality,
+    hashing and printing ignore the layout.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_layout", "_bound")
 
     def __init__(self, coeffs: Mapping[Monomial, int]):
         if not coeffs:
@@ -64,9 +77,19 @@ class PosPoly:
                 raise ValueError(f"coefficient {coeff} is not positive")
             if any(exp < 1 for _, exp in mono):
                 raise ValueError(f"zero exponent stored in monomial {mono}")
-            if list(mono) != sorted(mono):
+            if any(a >= b for (a, _), (b, _) in zip(mono, mono[1:])):
                 raise ValueError(f"monomial {mono} is not sorted by variable")
-        self._coeffs = dict(coeffs)
+        bound = max((exp for mono in coeffs for _, exp in mono), default=0)
+        layout = tuple(sorted({v for mono in coeffs for v, _ in mono})), _fit(_WIDTH, bound)
+        packed = {_pack(mono, layout): coeff for mono, coeff in coeffs.items()}
+        self._coeffs, self._layout, self._bound = packed, layout, bound
+
+    @classmethod
+    def _make(cls, coeffs: dict[int, int], layout: Layout, bound: int) -> "PosPoly":
+        """An already packed polynomial, not validated."""
+        poly = object.__new__(cls)
+        poly._coeffs, poly._layout, poly._bound = coeffs, layout, bound
+        return poly
 
     @classmethod
     def constant(cls, value: int) -> "PosPoly":
@@ -79,10 +102,11 @@ class PosPoly:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PosPoly):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        _, mine, theirs = self._aligned(other, max(self._bound, other._bound))
+        return mine == theirs
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
+        return hash(frozenset(self._unpacked()))
 
     def __len__(self) -> int:
         return len(self._coeffs)
@@ -90,29 +114,46 @@ class PosPoly:
     def __repr__(self) -> str:
         return f"PosPoly({self.render()})"
 
+    def _unpacked(self, keys=None) -> Iterator[tuple[Monomial, int]]:
+        """Monomial/coefficient pairs of ``keys``, by default all in any order."""
+        names, width = self._layout
+        mask, top = (1 << width) - 1, width * len(names)
+        fields = [(name, top - width * i) for i, name in enumerate(names, 1)]
+        for key in self._coeffs if keys is None else keys:
+            mono = tuple([(name, e) for name, shift in fields if (e := key >> shift & mask)])
+            yield mono, self._coeffs[key]
+
+    def _repacked(self, layout: Layout) -> dict[int, int]:
+        """The coefficient map over ``layout``, whose names and width cover this one's."""
+        if self._layout == layout or not self._bound:  # constants pack alike everywhere
+            return self._coeffs
+        return {_pack(mono, layout): coeff for mono, coeff in self._unpacked()}
+
+    def _aligned(self, other: "PosPoly", bound: int) -> tuple[Layout, dict, dict]:
+        """A layout whose fields hold ``bound``, and both maps packed over it:
+        this one's if both share it, else the union of their names, widened."""
+        layout = self._layout
+        if layout != other._layout or bound >> layout[1]:
+            (names, width), (other_names, other_width) = layout, other._layout
+            layout = tuple(sorted({*names, *other_names})), _fit(max(width, other_width), bound)
+        return layout, self._repacked(layout), other._repacked(layout)
+
     def items(self) -> Iterator[tuple[Monomial, int]]:
         """Monomial/coefficient pairs in graded-lex descending order."""
-        variables = self.variables
-        def key(mono: Monomial):
-            exps = dict(mono)
-            vector = tuple(exps.get(v, 0) for v in variables)
-            return (sum(vector), vector)
-        for mono in sorted(self._coeffs, key=key, reverse=True):
-            yield mono, self._coeffs[mono]
+        return self._unpacked(sorted(self._coeffs, reverse=True))
 
     @property
     def variables(self) -> tuple[str, ...]:
-        names = {v for mono in self._coeffs for v, _ in mono}
-        return tuple(sorted(names))
+        return tuple(sorted({v for mono, _ in self._unpacked() for v, _ in mono}))
 
     @property
     def is_constant(self) -> bool:
-        return set(self._coeffs) == {()}
+        return self._coeffs.keys() == {0}
 
     def constant_value(self) -> int:
         if not self.is_constant:
             raise ValueError("polynomial is not constant")
-        return self._coeffs[()]
+        return self._coeffs[0]
 
     def separating_point(self, other: "PosPoly") -> dict[str, int]:
         """Positive integers, one per variable of either polynomial, at which
@@ -126,7 +167,7 @@ class PosPoly:
         """
         if self == other:
             raise ValueError("equal polynomials take the same value everywhere")
-        a, b = self._coeffs, other._coeffs
+        a, b = dict(self._unpacked()), dict(other._unpacked())
         point: dict[str, int] = {}
         for var in sorted({*self.variables, *other.variables}):
             degree = max(dict(mono).get(var, 0) for mono in (*a, *b))
@@ -139,59 +180,66 @@ class PosPoly:
         return point
 
     def add(self, other: "PosPoly") -> "PosPoly":
-        merged = dict(self._coeffs)
-        for mono, coeff in other._coeffs.items():
-            merged[mono] = merged.get(mono, 0) + coeff
-        return PosPoly(merged)
+        bound = max(self._bound, other._bound)
+        layout, mine, theirs = self._aligned(other, bound)
+        merged = dict(mine)
+        for key, coeff in theirs.items():
+            merged[key] = merged.get(key, 0) + coeff
+        return PosPoly._make(merged, layout, bound)
 
     def mul(self, other: "PosPoly", max_monomials: int = DEFAULT_MAX_MONOMIALS) -> "PosPoly":
+        if max_monomials < 1:
+            raise ValueError(f"max_monomials must be at least 1, not {max_monomials}")
         # x * 1 = x; a PosPoly is immutable, so the other factor is the product.
         if other._coeffs == _UNIT._coeffs:
             return self
         if self._coeffs == _UNIT._coeffs:
             return other
-        product: dict[Monomial, int] = {}
-        for mono_a, coeff_a in self._coeffs.items():
-            exps_a = dict(mono_a)
-            for mono_b, coeff_b in other._coeffs.items():
-                exps = dict(exps_a)
-                for v, e in mono_b:
-                    exps[v] = exps.get(v, 0) + e
-                key = tuple(sorted(exps.items()))
-                product[key] = product.get(key, 0) + coeff_a * coeff_b
-                if len(product) > max_monomials:
-                    raise SizeLimit(len(product), max_monomials)
-        return PosPoly(product)
+        bound = self._bound + other._bound
+        layout, mine, theirs = self._aligned(other, bound)
+        product: dict[int, int] = {}
+        get = product.get
+        for key_a, coeff_a in mine.items():
+            for key_b, coeff_b in theirs.items():
+                key = key_a + key_b
+                product[key] = get(key, 0) + coeff_a * coeff_b
+            # Checked per row: at most max_monomials + len(other) entries.
+            if len(product) > max_monomials:
+                raise SizeLimit(len(product), max_monomials)
+        return PosPoly._make(product, layout, bound)
 
-    def __add__(self, other: "PosPoly") -> "PosPoly":
-        return self.add(other)
-
-    def __mul__(self, other: "PosPoly") -> "PosPoly":
-        return self.mul(other)
+    __add__ = add
+    __mul__ = mul
 
     def evaluate(self, env: Mapping[str, Fraction]) -> Fraction:
-        total = Fraction(0)
-        for mono, coeff in self._coeffs.items():
-            value = Fraction(coeff)
-            for v, e in mono:
-                value *= env[v] ** e
-            total += value
-        return total
+        terms = (coeff * prod(env[v] ** e for v, e in mono) for mono, coeff in self._unpacked())
+        return sum(terms, Fraction(0))
 
     def render(self) -> str:
         """Canonical text: graded-lex descending, e.g. ``2*x^2*y + x + 3``."""
         parts = []
         for mono, coeff in self.items():
             factors = [v if e == 1 else f"{v}^{e}" for v, e in mono]
-            if not factors:
-                parts.append(str(coeff))
-            elif coeff == 1:
-                parts.append("*".join(factors))
-            else:
-                parts.append("*".join([str(coeff), *factors]))
+            parts.append("*".join(factors if coeff == 1 and factors else [str(coeff), *factors]))
         return " + ".join(parts)
 
     __str__ = render
+
+
+def _fit(width: int, bound: int) -> int:
+    """``width``, doubled until a field holds every exponent up to ``bound``."""
+    while bound >> width:
+        width *= 2
+    return width
+
+
+def _pack(mono: Monomial, layout: Layout) -> int:
+    names, width = layout
+    exps = dict(mono)
+    key = sum(exps.values())
+    for name in names:
+        key = key << width | exps.get(name, 0)
+    return key
 
 
 _UNIT = PosPoly.constant(1)
@@ -234,8 +282,14 @@ def split_inverse(t: Term, max_monomials: int = DEFAULT_MAX_MONOMIALS) -> PolyFr
     single inverse can be floated to the top; both components are then
     polynomial-normalized.  The result denotes the same value as ``t``
     at every positive point, and numerator * denominator^-1 is provably
-    equal to ``t``.
+    equal to ``t``.  All leaves share one layout, over the free variables
+    of ``t``, so the polynomials repack only to widen their fields.
     """
+    if max_monomials < 1:
+        raise ValueError(f"max_monomials must be at least 1, not {max_monomials}")
+    layout = (free_vars(t), _WIDTH)
+    unit = PosPoly._make({0: 1}, layout, 0)
+    leaves = {v: PosPoly._make({_pack(((v, 1),), layout): 1}, layout, 1) for v in layout[0]}
 
     def visit(node: Term, a=None, b=None) -> PolyFraction:
         kind = node.__class__
@@ -254,9 +308,9 @@ def split_inverse(t: Term, max_monomials: int = DEFAULT_MAX_MONOMIALS) -> PolyFr
         if kind is Inv:
             return PolyFraction(a.denominator, a.numerator)
         if kind is One:
-            return PolyFraction(_UNIT, _UNIT)
+            return PolyFraction(unit, unit)
         if kind is Var:
-            return PolyFraction(PosPoly.variable(node.name), _UNIT)
+            return PolyFraction(leaves[node.name], unit)
         raise NotInSignature(f"{kind.__name__} does not occur in the iamd signature")
 
     return fold(t, visit)

@@ -306,6 +306,22 @@ def test_option_the_subcommand_does_not_read_is_usage_error(argv, capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decide", "--theory", "iamd", "--max-monomials", "-3", "x", "x"],
+        ["decide", "--theory", "ratiaz-gil", "--max-monomials", "0", "x", "x"],
+        ["normalize", "x + 1", "--sig", "iamd", "--max-monomials", "0"],
+        ["normalize", "x + 1", "--sig", "iamd", "--max-monomials", "many"],
+    ],
+)
+def test_monomial_bound_below_one_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "not a positive integer" in capsys.readouterr().err
+
+
 class TestEntryPoint:
     def test_console_script_installed(self):
         exe = shutil.which("meadows")

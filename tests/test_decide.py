@@ -116,6 +116,10 @@ class TestDecideIamd:
         with pytest.raises(SizeLimit):
             decide_iamd(big, big, max_monomials=10)
 
+    def test_monomial_bound_below_one_is_rejected(self):
+        with pytest.raises(ValueError):
+            decide_iamd(X, X, max_monomials=0)
+
     def test_deterministic(self):
         assert decide_iamd(X, Y) == decide_iamd(X, Y)
 

@@ -153,6 +153,110 @@ class TestPosPolyLaws:
         assert p.evaluate(env) != q.evaluate(env)
 
 
+NAMES = ("x", "y", "z")
+
+
+def reference_product(p: dict, q: dict) -> dict:
+    """The product of two Monomial-keyed maps, exponent by exponent."""
+    out = {}
+    for mono_a, coeff_a in p.items():
+        for mono_b, coeff_b in q.items():
+            exps = dict(mono_a)
+            for var, exp in mono_b:
+                exps[var] = exps.get(var, 0) + exp
+            mono = tuple(sorted(exps.items()))
+            out[mono] = out.get(mono, 0) + coeff_a * coeff_b
+    return out
+
+
+def graded_lex(mono):
+    vector = tuple(dict(mono).get(name, 0) for name in NAMES)
+    return sum(vector), vector
+
+
+@st.composite
+def wide_maps(draw):
+    """Monomial maps over some of x, y, z with exponents up to 300, so that
+    products outgrow 8-bit fields and operands differ in their variables."""
+    names = sorted(draw(st.sets(st.sampled_from(NAMES))))
+    coeffs = {}
+    for _ in range(draw(st.integers(1, 5))):
+        mono = tuple((name, e) for name in names if (e := draw(st.integers(0, 300))))
+        coeffs[mono] = coeffs.get(mono, 0) + draw(st.integers(1, 9))
+    return coeffs
+
+
+class TestPackedKernel:
+    @pytest.mark.parametrize(
+        "left, want, text",
+        [
+            ({"x": 255}, {"x": 256, "y": 1}, "x^256*y"),
+            ({"x": 255, "y": 1}, {"x": 256, "y": 2}, "x^256*y^2"),
+            ({"x": 1, "y": 255}, {"x": 2, "y": 256}, "x^2*y^256"),
+        ],
+    )
+    def test_no_carry_into_the_next_field(self, left, want, text):
+        # An exponent of 256 overflows an 8-bit field; a silent carry would
+        # move it into the neighbouring variable or the degree.
+        p = PosPoly({tuple(left.items()): 1}).mul(PosPoly({(("x", 1), ("y", 1)): 1}))
+        assert list(p.items()) == [(tuple(want.items()), 1)]
+        assert p == PosPoly({tuple(want.items()): 1})
+        assert p.render() == text
+
+    def test_equal_across_layouts(self):
+        wide = PosPoly({(("x", 200),): 1}) * PosPoly({(("y", 100),): 1})
+        narrow = PosPoly({(("x", 200), ("y", 100)): 1})
+        split = split_inverse(Mul(Mul(X, Y), Inv(Var("z")))).numerator
+        built = PosPoly({(("x", 1), ("y", 1)): 1})
+        # The pairs really differ in field width and in variable names.
+        assert wide._layout != narrow._layout and split._layout != built._layout
+        assert wide == narrow and hash(wide) == hash(narrow)
+        assert split == built and hash(split) == hash(built)
+        assert split.render() == built.render() == "x*y"
+        assert split != PosPoly({(("x", 1), ("z", 1)): 1})
+
+    def test_unit_denominator_has_no_variables(self):
+        den = split_inverse(Add(X, Y)).denominator
+        assert den.variables == ()
+        assert den.is_constant and den.constant_value() == 1
+        assert den == PosPoly.constant(1)
+
+    def test_rejects_unsorted_or_repeated_variables(self):
+        with pytest.raises(ValueError):
+            PosPoly({(("y", 1), ("x", 1)): 1})
+        with pytest.raises(ValueError):
+            PosPoly({(("x", 1), ("x", 2)): 1})
+
+    @pytest.mark.parametrize("bound", [0, -3])
+    def test_monomial_bound_below_one_is_rejected(self, bound):
+        with pytest.raises(ValueError):
+            split_inverse(X, max_monomials=bound)
+        with pytest.raises(ValueError):
+            poly_normal(X, max_monomials=bound)
+        with pytest.raises(ValueError):
+            PosPoly.variable("x").mul(PosPoly.constant(1), max_monomials=bound)
+
+    def test_size_limit_bounds_the_partial_product(self):
+        p = PosPoly({((f"a{i:02}", 1),): 1 for i in range(30)})
+        q = PosPoly({((f"b{i:02}", 1),): 1 for i in range(30)})
+        with pytest.raises(SizeLimit) as info:
+            p.mul(q, max_monomials=50)
+        assert 50 < info.value.count <= 50 + len(q)
+
+    @given(wide_maps(), wide_maps(), wide_maps())
+    @settings(max_examples=150)
+    def test_agrees_with_reference_product(self, p, q, r):
+        pq, pqr = reference_product(p, q), reference_product(reference_product(p, q), r)
+        summed = {**p, **{mono: p.get(mono, 0) + coeff for mono, coeff in q.items()}}
+        got = PosPoly(p) * PosPoly(q)
+        assert dict(got.items()) == pq
+        assert dict((PosPoly(p) + PosPoly(q)).items()) == summed
+        assert dict((got * PosPoly(r)).items()) == pqr
+        assert got * PosPoly(r) == PosPoly(pqr)
+        assert hash(got * PosPoly(r)) == hash(PosPoly(pqr))
+        assert list(got.items()) == sorted(pq.items(), key=lambda kv: graded_lex(kv[0]), reverse=True)
+
+
 class TestPolyNormal:
     def test_binomial_square(self):
         t = Mul(Add(X, ONE), Add(X, ONE))
@@ -259,6 +363,17 @@ class TestSplitInverse:
         num, den = split_inverse(t)
         for _ in range(5):
             env = positive_env(rng, ("x", "y"))
+            assert eval_pair(num, den, env) == eval_total(t, env, Carrier.POSITIVE)
+
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60)
+    def test_agrees_with_evaluation_over_three_variables(self, seed: int):
+        rng = random.Random(seed)
+        t = random_term(rng, SignatureId.IAMD, max_size=30, variables=NAMES)
+        num, den = split_inverse(t)
+        for _ in range(3):
+            env = positive_env(rng, NAMES)
             assert eval_pair(num, den, env) == eval_total(t, env, Carrier.POSITIVE)
 
 
