@@ -30,21 +30,23 @@ fraction = split_inverse(t)
 print(render(t), "splits into", fraction.render())
 
 # Closed terms reduce all the way to their value, a fractions.Fraction,
-# which is always kept in lowest terms.
-from meadows import closed_normal_iamd, closed_normal_iamdz, closed_normal_full, parse_term
+# which is always kept in lowest terms.  In the initial algebra two
+# closed terms are provably equal exactly when their values are, so the
+# value is the normal form over each of the seven signatures.
+from meadows import SignatureId, closed_normal, parse_term
 
 half_plus_third = parse_term("2^-1 + 3^-1")
-print("2^-1 + 3^-1 =", closed_normal_iamd(half_plus_third))
+print("2^-1 + 3^-1 =", closed_normal(half_plus_third, SignatureId.IAMD))
 
 # With 0 in the signature the inverse is zero-totalized: 0^-1 = 0, and
 # the normal form may be 0.
-print("0^-1       =", closed_normal_iamdz(parse_term("0^-1")))
-print("0 + 3/9    =", closed_normal_iamdz(parse_term("0 + 3 * 9^-1")))
+print("0^-1       =", closed_normal(parse_term("0^-1"), SignatureId.IAMDZ))
+print("0 + 3/9    =", closed_normal(parse_term("0 + 3 * 9^-1"), SignatureId.IAMDZ))
 
-# Full meadow terms (with - and /) normalize through exact evaluation,
-# signs and all.
-print("-(2/4)     =", closed_normal_full(parse_term("-(2 * 4^-1)")))
-print("1/(1 + -1) =", closed_normal_full(parse_term("1 / (1 + -1)")))
+# Full meadow terms (with - and ^-1 or /) take any sign.  A term must
+# conform to the signature it is normalized over.
+print("-(2/4)     =", closed_normal(parse_term("-(2 * 4^-1)"), SignatureId.IMD))
+print("1/(1 + -1) =", closed_normal(parse_term("1 / (1 + -1)"), SignatureId.DMD))
 
 # Open zero-carrying terms first have 0 eliminated: either everything
 # collapses to 0 or a zero-free term remains.

@@ -24,15 +24,8 @@ from .decide import (
     decide_iamdz_gil,
 )
 from .evaluate import Carrier, eval_total, parse_rational
-from .exceptions import MeadowError, SchemaError
-from .normalize import (
-    DEFAULT_MAX_MONOMIALS,
-    closed_normal_full,
-    closed_normal_iamd,
-    closed_normal_iamdz,
-    split_inverse,
-    zero_elim,
-)
+from .exceptions import MeadowError, NotInSignature, SchemaError
+from .normalize import DEFAULT_MAX_MONOMIALS, closed_normal, split_inverse, zero_elim
 from .partial import Defined, PunchId, classify_def, eval_punched
 from .syntax import NumeralStyle, parse, render, term_to_dict
 from .terms import SignatureId, Term, Zero, conforms, is_closed
@@ -164,28 +157,26 @@ def _style(args: argparse.Namespace) -> NumeralStyle:
     return NumeralStyle(args.numerals)
 
 
+def _conforming(expr: str, sig: Optional[str]) -> Term:
+    """The parsed term, which must conform to the signature named ``sig``, if any."""
+    term = parse(expr).term
+    if sig is not None and not conforms(term, SignatureId(sig)):
+        raise NotInSignature(f"term does not conform to the {sig} signature")
+    return term
+
+
 def _cmd_parse(args: argparse.Namespace) -> int:
-    term = parse(args.expr).term
-    if args.sig is not None:
-        sig = SignatureId(args.sig)
-        if not conforms(term, sig):
-            print(f"error: term does not conform to the {sig.value} signature", file=sys.stderr)
-            return EXIT_ERROR
+    term = _conforming(args.expr, args.sig)
     rendered = render(term, _style(args))
     _emit(args, rendered, {"rendered": rendered, "term": term_to_dict(term)})
     return EXIT_OK
 
 
 def _cmd_normalize(args: argparse.Namespace) -> int:
-    term = parse(args.expr).term
+    term = _conforming(args.expr, args.sig)
     sig = SignatureId(args.sig)
     if is_closed(term):
-        if sig is SignatureId.IAMD:
-            normal = closed_normal_iamd(term)
-        elif sig is SignatureId.IAMDZ:
-            normal = closed_normal_iamdz(term)
-        else:
-            normal = closed_normal_full(term)
+        normal = closed_normal(term, sig)
         _emit(
             args,
             str(normal),

@@ -14,8 +14,9 @@ run the zero-free comparison, deciding each distinct case once and
 keeping its decision as evidence (``decide_iamdz_gil``).
 
 Divisive equations are decided by translating division away; closed
-terms of any of the seven signatures are decided by exact evaluation,
-which doubles as an independent oracle for the syntactic procedures.
+terms of any of the seven signatures are decided by comparing their
+normal forms, which are their exact values (``decide_closed``), so
+evaluation doubles as an independent oracle for the syntactic procedures.
 
 A false verdict always carries a concrete counterexample assignment.
 The zero-carrying search tries the zero patterns first and otherwise
@@ -35,10 +36,11 @@ from itertools import combinations, islice
 from typing import Union
 
 from .evaluate import Carrier, eval_total
-from .exceptions import NotClosed, NotInSignature
+from .exceptions import NotInSignature
 from .normalize import (
     DEFAULT_MAX_MONOMIALS,
     PosPoly,
+    closed_normal,
     split_inverse,
     zero_elim,
 )
@@ -49,7 +51,6 @@ from .terms import (
     Zero,
     conforms,
     free_vars,
-    is_closed,
     substitute,
 )
 from .theories import TheoryId
@@ -149,23 +150,9 @@ def _counterexample(
 
 
 def decide_closed(t: Term, u: Term, sig: SignatureId) -> Decision:
-    """Decide equality of closed terms by exact evaluation.
-
-    In the initial algebra of each signature's rational-meadow theory,
-    closed terms are provably equal exactly when their values coincide.
-    """
-    if not (conforms(t, sig) and conforms(u, sig)):
-        raise NotInSignature(f"both sides must conform to the {sig.value} signature")
-    for side in (t, u):
-        if not is_closed(side):
-            raise NotClosed(f"term has free variables: {', '.join(free_vars(side))}")
-    if sig in (SignatureId.IAMD, SignatureId.DAMD):
-        carrier = Carrier.POSITIVE
-    elif sig in (SignatureId.IAMDZ, SignatureId.DAMDZ):
-        carrier = Carrier.NON_NEGATIVE
-    else:
-        carrier = Carrier.ALL
-    lhs, rhs = eval_total(t, {}, carrier), eval_total(u, {}, carrier)
+    """Decide equality of closed terms over ``sig`` by comparing their
+    normal forms, which are their exact values (``closed_normal``)."""
+    lhs, rhs = closed_normal(t, sig), closed_normal(u, sig)
     return Decision(lhs == rhs, MatchedNormals(lhs, rhs))
 
 

@@ -20,8 +20,6 @@ from typing import Mapping, Optional
 from .exceptions import CarrierViolation, UnboundVariable
 from .terms import Add, Div, Inv, Mul, Neg, SignatureId, Term, Var, Zero, fold
 
-Rational = Fraction
-
 
 class Carrier(Enum):
     """Value domain of an evaluator; enum values are the command-line names."""

@@ -5,9 +5,10 @@ positive integer coefficients (``PosPoly``); positivity is structural,
 since the signature has no subtraction.  A term with inverses splits
 into a numerator/denominator pair of such polynomials (``PolyFraction``)
 by pushing the inverse through products and collapsing double inverses.
-Closed terms reduce further to their rational value, a
-``fractions.Fraction``: positive without 0 in the signature, non-negative
-with it, and of any sign for full meadow terms.
+A closed term of any of the seven signatures normalizes to its exact
+value, a ``fractions.Fraction`` (``closed_normal``): positive without 0
+in the signature, non-negative with 0 but without negation, and of any
+sign otherwise.
 
 Two inverse-free terms are provably equal over the arithmetical-meadow
 axioms exactly when their ``PosPoly`` forms coincide, which is what the
@@ -23,6 +24,7 @@ from fractions import Fraction
 from math import prod
 from typing import Iterator, Mapping
 
+from .evaluate import Carrier, eval_total
 from .exceptions import ContainsInverse, NotClosed, NotInSignature, SizeLimit
 from .terms import (
     ZERO,
@@ -38,6 +40,7 @@ from .terms import (
     constructors,
     fold,
     free_vars,
+    is_closed,
     rebuild,
 )
 
@@ -330,20 +333,6 @@ def poly_normal(t: Term, max_monomials: int = DEFAULT_MAX_MONOMIALS) -> PosPoly:
     return split_inverse(t, max_monomials).numerator
 
 
-def closed_normal_iamd(t: Term) -> Fraction:
-    """Normal form of a closed zero-free term: its value, a positive fraction.
-
-    Closed terms over {1, +, *, ^-1} cannot denote 0.  Every polynomial of
-    the split is a constant, so no monomial bound applies.
-    """
-    if not conforms(t, SignatureId.IAMD):
-        raise NotInSignature("term does not conform to the iamd signature")
-    if free_vars(t):
-        raise NotClosed(f"term has free variables: {', '.join(free_vars(t))}")
-    split = split_inverse(t)
-    return Fraction(split.numerator.constant_value(), split.denominator.constant_value())
-
-
 def zero_elim(t: Term) -> Term:
     """Eliminate the constant 0 from a term over {0, 1, +, *, ^-1}.
 
@@ -367,28 +356,29 @@ def zero_elim(t: Term) -> Term:
     return fold(t, visit)
 
 
-def closed_normal_iamdz(t: Term) -> Fraction:
-    """Normal form of a closed term over {0, 1, +, *, ^-1}: its value, 0 or positive."""
-    if not conforms(t, SignatureId.IAMDZ):
-        raise NotInSignature("term does not conform to the iamdz signature")
-    if free_vars(t):
-        raise NotClosed(f"term has free variables: {', '.join(free_vars(t))}")
-    reduced = zero_elim(t)
-    if isinstance(reduced, Zero):
-        return Fraction(0)
-    return closed_normal_iamd(reduced)
+# The carrier a closed term of each signature denotes in: without 0 its
+# values are positive, without negation non-negative.
+_CLOSED_CARRIER = {
+    SignatureId.IAMD: Carrier.POSITIVE,
+    SignatureId.DAMD: Carrier.POSITIVE,
+    SignatureId.IAMDZ: Carrier.NON_NEGATIVE,
+    SignatureId.DAMDZ: Carrier.NON_NEGATIVE,
+    SignatureId.CR: Carrier.ALL,
+    SignatureId.IMD: Carrier.ALL,
+    SignatureId.DMD: Carrier.ALL,
+}
 
 
-def closed_normal_full(t: Term) -> Fraction:
-    """Signed normal form of a closed full-meadow term (inversive or divisive).
+def closed_normal(t: Term, sig: SignatureId) -> Fraction:
+    """Normal form of a closed term over ``sig``: its exact value.
 
-    Computed by exact zero-totalized evaluation; in the initial algebra,
-    closed-term equality is value equality, so this is canonical.
+    In the initial algebra of each signature's theory, closed terms are
+    provably equal exactly when their values are (Bergstra & Tucker,
+    J. ACM 2007), so the zero-totalized value over the signature's
+    carrier is canonical.
     """
-    if not (conforms(t, SignatureId.IMD) or conforms(t, SignatureId.DMD)):
-        raise NotInSignature("term does not conform to the imd or dmd signature")
-    if free_vars(t):
+    if not conforms(t, sig):
+        raise NotInSignature(f"term does not conform to the {sig.value} signature")
+    if not is_closed(t):
         raise NotClosed(f"term has free variables: {', '.join(free_vars(t))}")
-    from .evaluate import Carrier, eval_total
-
-    return eval_total(t, {}, Carrier.ALL)
+    return eval_total(t, {}, _CLOSED_CARRIER[sig])

@@ -32,8 +32,7 @@ from meadows import (
     axioms,
     check_model,
     classify_def,
-    closed_normal_iamd,
-    closed_normal_iamdz,
+    closed_normal,
     decide_closed,
     decide_divisive,
     decide_iamd,
@@ -49,6 +48,7 @@ from meadows import (
     render,
     split_inverse,
     substitute,
+    zero_elim,
 )
 from termgen import random_term
 from test_decide import equal_variant
@@ -79,14 +79,22 @@ def criterion(capsys):
     return run
 
 
+def _split_value(t):
+    """The constant fraction ``split_inverse`` gives a closed zero-free term."""
+    num, den = split_inverse(t)
+    return Fraction(num.constant_value(), den.constant_value())
+
+
 def test_criterion_01_closed_normals_match_evaluation(criterion):
     with criterion(1, "closed normal forms, zero-free", 5.0):
         rng = random.Random(101)
         for _ in range(1000):
             t = random_term(rng, SignatureId.IAMD, max_size=40)
-            normal = closed_normal_iamd(t)
+            normal = closed_normal(t, SignatureId.IAMD)
+            split = _split_value(t)
             assert math.gcd(normal.numerator, normal.denominator) == 1
-            assert normal == eval_total(t, {}, Carrier.POSITIVE)
+            assert math.gcd(split.numerator, split.denominator) == 1
+            assert normal == split == eval_total(t, {}, Carrier.POSITIVE)
 
 
 def test_criterion_02_closed_normals_with_zero(criterion):
@@ -94,11 +102,14 @@ def test_criterion_02_closed_normals_with_zero(criterion):
         rng = random.Random(202)
         for _ in range(1000):
             t = random_term(rng, SignatureId.IAMDZ, max_size=40)
-            normal = closed_normal_iamdz(t)
+            normal = closed_normal(t, SignatureId.IAMDZ)
+            reduced = zero_elim(t)
+            split = Fraction(0) if reduced == ZERO else _split_value(reduced)
             value = eval_total(t, {}, Carrier.NON_NEGATIVE)
-            assert (normal == 0) == (value == 0)
-            assert normal == value
+            assert (normal == 0) == (split == 0) == (value == 0)
+            assert normal == split == value
             assert math.gcd(normal.numerator, normal.denominator) == 1
+            assert math.gcd(split.numerator, split.denominator) == 1
 
 
 def test_criterion_03_axioms_and_derived_laws_decide_true(criterion):

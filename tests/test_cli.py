@@ -95,6 +95,16 @@ class TestNormalizeCommand:
         assert code == EXIT_ERROR
         assert "no open-term normal form" in err
 
+    @pytest.mark.parametrize(
+        "sig, expr",
+        [("damd", "-1"), ("damd", "1/0"), ("imd", "1/2"), ("dmd", "2^-1"), ("damd", "x^-1")],
+    )
+    def test_term_outside_signature(self, capsys, sig, expr):
+        code, out, err = run(capsys, "normalize", "--sig", sig, "--", expr)
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err == f"error: term does not conform to the {sig} signature\n"
+
     def test_monomial_guardrail(self, capsys):
         code, _, err = run(
             capsys, "normalize", "(x + 1)^12", "--sig", "iamd", "--max-monomials", "10"

@@ -40,9 +40,7 @@ from meadows import (
     TheoryId,
     Var,
     classify_def,
-    closed_normal_full,
-    closed_normal_iamd,
-    closed_normal_iamdz,
+    closed_normal,
     conforms,
     decide_closed,
     decide_divisive,
@@ -179,8 +177,9 @@ def test_translation(deep):
 
 def test_normal_forms(deep):
     kind, t, sig, value = deep
-    results = [call(f, t) for f in (zero_elim, poly_normal, split_inverse, closed_normal_iamd,
-                                    closed_normal_iamdz, closed_normal_full)]
+    full = SignatureId.DMD if kind == "div" else SignatureId.IMD
+    results = [call(f, t) for f in (zero_elim, poly_normal, split_inverse)]
+    results += [call(closed_normal, t, s) for s in (SignatureId.IAMD, SignatureId.IAMDZ, full)]
     zero_free, poly, split, closed_iamd, closed_iamdz, closed_full = results
     if kind in ("neg", "div"):
         assert all(isinstance(r, NotInSignature) for r in results[:5])

@@ -25,9 +25,7 @@ from meadows import (
     SizeLimit,
     Var,
     ZERO,
-    closed_normal_full,
-    closed_normal_iamd,
-    closed_normal_iamdz,
+    closed_normal,
     conforms,
     eval_total,
     numeral,
@@ -379,32 +377,32 @@ class TestSplitInverse:
 
 class TestClosedNormalIamd:
     def test_two_over_four(self):
-        got = closed_normal_iamd(Mul(numeral(2), Inv(numeral(4))))
+        got = closed_normal(Mul(numeral(2), Inv(numeral(4))), SignatureId.IAMD)
         assert got == Fraction(1, 2)
 
     def test_one(self):
-        assert closed_normal_iamd(ONE) == Fraction(1, 1)
+        assert closed_normal(ONE, SignatureId.IAMD) == Fraction(1, 1)
 
     def test_half_plus_third(self):
         t = Add(Inv(numeral(2)), Inv(numeral(3)))
-        assert closed_normal_iamd(t) == Fraction(5, 6)
+        assert closed_normal(t, SignatureId.IAMD) == Fraction(5, 6)
         # Independent route: exact evaluation.
         assert eval_total(t, {}, Carrier.POSITIVE) == Fraction(5, 6)
 
     def test_rejects_open_term(self):
         with pytest.raises(NotClosed):
-            closed_normal_iamd(Add(X, ONE))
+            closed_normal(Add(X, ONE), SignatureId.IAMD)
 
     def test_rejects_zero(self):
         with pytest.raises(NotInSignature):
-            closed_normal_iamd(ZERO)
+            closed_normal(ZERO, SignatureId.IAMD)
 
     @given(st.integers(0, 500))
     @settings(max_examples=80)
     def test_agrees_with_evaluation(self, seed: int):
         rng = random.Random(seed)
         t = random_term(rng, SignatureId.IAMD, max_size=16)
-        got = closed_normal_iamd(t)
+        got = closed_normal(t, SignatureId.IAMD)
         want = eval_total(t, {}, Carrier.POSITIVE)
         assert got == want
         assert want > 0
@@ -460,26 +458,26 @@ class TestZeroElim:
 
 class TestClosedNormalIamdz:
     def test_inverse_of_zero(self):
-        assert closed_normal_iamdz(Inv(ZERO)) == Fraction(0)
+        assert closed_normal(Inv(ZERO), SignatureId.IAMDZ) == Fraction(0)
 
     def test_product_with_zero(self):
-        assert closed_normal_iamdz(Mul(ZERO, numeral(7))) == Fraction(0)
+        assert closed_normal(Mul(ZERO, numeral(7)), SignatureId.IAMDZ) == Fraction(0)
 
     def test_zero_plus_third(self):
         t = Add(ZERO, Mul(numeral(3), Inv(numeral(9))))
-        assert closed_normal_iamdz(t) == Fraction(1, 3)
+        assert closed_normal(t, SignatureId.IAMDZ) == Fraction(1, 3)
         assert eval_total(t, {}) == Fraction(1, 3)
 
     def test_rejects_open_term(self):
         with pytest.raises(NotClosed):
-            closed_normal_iamdz(Add(X, ZERO))
+            closed_normal(Add(X, ZERO), SignatureId.IAMDZ)
 
     @given(st.integers(0, 500))
     @settings(max_examples=80)
     def test_agrees_with_evaluation(self, seed: int):
         rng = random.Random(seed)
         t = random_term(rng, SignatureId.IAMDZ, max_size=16)
-        got = closed_normal_iamdz(t)
+        got = closed_normal(t, SignatureId.IAMDZ)
         want = eval_total(t, {}, Carrier.NON_NEGATIVE)
         assert got == want
         assert want >= 0
@@ -488,18 +486,18 @@ class TestClosedNormalIamdz:
 class TestClosedNormalFull:
     def test_negated_half(self):
         t = Neg(Mul(numeral(2), Inv(numeral(4))))
-        assert closed_normal_full(t) == Fraction(-1, 2)
+        assert closed_normal(t, SignatureId.IMD) == Fraction(-1, 2)
 
     def test_inverse_of_zero(self):
-        assert closed_normal_full(Inv(ZERO)) == Fraction(0)
+        assert closed_normal(Inv(ZERO), SignatureId.IMD) == Fraction(0)
 
     def test_division_by_vanishing_sum(self):
         t = Div(ONE, Add(ONE, Neg(ONE)))
-        assert closed_normal_full(t) == Fraction(0)
+        assert closed_normal(t, SignatureId.DMD) == Fraction(0)
 
     def test_rejects_mixed_signature(self):
         with pytest.raises(NotInSignature):
-            closed_normal_full(Div(Inv(ONE), ONE))
+            closed_normal(Div(Inv(ONE), ONE), SignatureId.DMD)
 
     @given(st.integers(0, 500))
     @settings(max_examples=80)
@@ -507,7 +505,29 @@ class TestClosedNormalFull:
         rng = random.Random(seed)
         sig = rng.choice([SignatureId.IMD, SignatureId.DMD])
         t = random_term(rng, sig, max_size=16)
-        assert closed_normal_full(t) == eval_total(t, {})
+        assert closed_normal(t, sig) == eval_total(t, {})
+
+
+class TestClosedNormal:
+    @given(st.integers(0, 10_000), st.sampled_from(list(SignatureId)))
+    @settings(max_examples=200)
+    def test_every_signature(self, seed: int, sig: SignatureId):
+        rng = random.Random(seed)
+        t = random_term(rng, sig, max_size=16)
+        carrier = (
+            Carrier.POSITIVE if not sig.has_zero
+            else Carrier.NON_NEGATIVE if not sig.has_neg
+            else Carrier.ALL
+        )
+        normal = closed_normal(t, sig)
+        assert normal == eval_total(t, {}, carrier)
+        assert carrier.contains(normal)
+        for foreign in (ZERO, Neg(ONE), Inv(ONE), Div(ONE, ONE)):
+            if not conforms(foreign, sig):
+                with pytest.raises(NotInSignature):
+                    closed_normal(Mul(t, foreign), sig)
+        with pytest.raises(NotClosed):
+            closed_normal(Add(t, X), sig)
 
 
 class TestPolyFraction:
