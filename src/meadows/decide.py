@@ -19,10 +19,12 @@ normal forms, which are their exact values (``decide_closed``), so
 evaluation doubles as an independent oracle for the syntactic procedures.
 
 A false verdict always carries a concrete counterexample assignment.
-The zero-carrying search tries the zero patterns first and otherwise
-lifts the counterexample of the first failing case.  The zero-free
-search tries the all-ones assignment; if that does not separate the
-sides, the two distinct cross-product polynomials are specialized one
+Both procedures first evaluate the two sides exactly at 0/1 points (the
+all-ones point, or every zero pattern) and refute at the first point
+that separates them, before normalizing anything; true verdicts come
+only from matched normal forms.  Otherwise the zero-carrying search
+lifts the counterexample of the first failing case, and the zero-free
+search specializes the two distinct cross-product polynomials one
 variable at a time to small positive integers at which they differ
 (``PosPoly.separating_point``), which always succeeds because a nonzero
 polynomial has only finitely many roots per variable.
@@ -33,23 +35,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
-from typing import Union
+from typing import Container, Union
 
 from .evaluate import Carrier, eval_total
 from .exceptions import NotInSignature
-from .normalize import (
-    DEFAULT_MAX_MONOMIALS,
-    PosPoly,
-    closed_normal,
-    split_inverse,
-    zero_elim,
-)
+from .normalize import DEFAULT_MAX_MONOMIALS, PosPoly, closed_normal, split_inverse, zero_elim
 from .terms import (
-    SignatureId,
     ZERO,
+    Add,
+    Inv,
+    Mul,
+    One,
+    SignatureId,
     Term,
+    Var,
     Zero,
     conforms,
+    fold,
     free_vars,
     substitute,
 )
@@ -115,31 +117,55 @@ class Decision:
 def decide_iamd(t: Term, u: Term, max_monomials: int = DEFAULT_MAX_MONOMIALS) -> Decision:
     """Decide provable equality of two zero-free arithmetical terms.
 
-    Splits both sides into polynomial fractions t1/t2 and u1/u2 and
-    compares the cross products t1*u2 and u1*t2; the equation is
-    provable iff they are the same polynomial.  False verdicts carry a
-    positive counterexample: the all-ones point if it separates the
-    sides, otherwise a point of small positive integers at which the
-    cross products differ.
+    Both sides are evaluated exactly at the all-ones point first: zero-free
+    terms are positive-valued, so sides that differ there are refuted at
+    that point without being expanded.  Otherwise both sides are split into
+    polynomial fractions t1/t2 and u1/u2, and the equation is provable iff
+    the cross products t1*u2 and u1*t2 are the same polynomial; if not, the
+    counterexample is a point of small positive integers where they differ.
     """
-    if not (conforms(t, SignatureId.IAMD) and conforms(u, SignatureId.IAMD)):
-        raise NotInSignature("both sides must conform to the iamd signature")
+    p, q = _value_at(t, (), SignatureId.IAMD)
+    r, s = _value_at(u, (), SignatureId.IAMD)
+    if p * s != r * q:
+        ones = dict.fromkeys(sorted({*free_vars(t), *free_vars(u)}), Fraction(1))
+        return Decision(False, Counterexample(ones, Fraction(p, q), Fraction(r, s)))
     a = split_inverse(t, max_monomials)
     b = split_inverse(u, max_monomials)
     left = a.numerator.mul(b.denominator, max_monomials)
     right = b.numerator.mul(a.denominator, max_monomials)
     if left == right:
         return Decision(True, MatchedNormals(left, right))
-    ones = dict.fromkeys(sorted({*free_vars(t), *free_vars(u)}), Fraction(1))
-    found = _counterexample(t, u, ones, Carrier.POSITIVE)
-    if found.lhs_value == found.rhs_value:
-        # The sides differ wherever the cross products do, since the
-        # denominators are positive at positive points.  Every variable of
-        # the sides occurs in a cross product, so the point binds them all.
-        point = left.separating_point(right)
-        env = {v: Fraction(value) for v, value in point.items()}
-        found = _counterexample(t, u, env, Carrier.POSITIVE)
-    return Decision(False, found)
+    # The sides differ wherever the cross products do, since the
+    # denominators are positive at positive points.  Every variable of
+    # the sides occurs in a cross product, so the point binds them all.
+    point = left.separating_point(right)
+    env = {v: Fraction(value) for v, value in point.items()}
+    return Decision(False, _counterexample(t, u, env, Carrier.POSITIVE))
+
+
+def _value_at(t: Term, zeros: Container[str], sig: SignatureId) -> tuple[int, int]:
+    """The exact value of ``t`` with the variables in ``zeros`` 0 and the rest 1,
+    as an unreduced pair (numerator, denominator > 0); NotInSignature at a
+    constructor outside ``sig``."""
+    has_zero = sig.has_zero
+
+    def visit(node: Term, a: tuple[int, int] = (1, 1), b: tuple[int, int] = (1, 1)):
+        kind = node.__class__
+        if kind is Add:
+            return a[0] * b[1] + b[0] * a[1], a[1] * b[1]
+        if kind is Mul:
+            return a[0] * b[0], a[1] * b[1]
+        if kind is Inv:  # 0^-1 = 0
+            return (a[1], a[0]) if a[0] else (0, 1)
+        if kind is Var:
+            return (0, 1) if node.name in zeros else (1, 1)
+        if kind is One:
+            return 1, 1
+        if kind is Zero and has_zero:
+            return 0, 1
+        raise NotInSignature(f"both sides must conform to the {sig.value} signature")
+
+    return fold(t, visit)
 
 
 def _counterexample(
@@ -170,19 +196,20 @@ def decide_iamdz_gil(t: Term, u: Term, max_monomials: int = DEFAULT_MAX_MONOMIAL
     a false one carries a counterexample from the first failing case, a
     minimal zero set.
     """
-    if not (conforms(t, SignatureId.IAMDZ) and conforms(u, SignatureId.IAMDZ)):
-        raise NotInSignature("both sides must conform to the iamdz signature")
     variables = sorted({*free_vars(t), *free_vars(u)})
     # A derivable equation holds at every non-negative point, so any
-    # separating assignment refutes it outright; searching before the
-    # case split also yields the simplest counterexamples first.
-    for env in zero_pattern_assignments(variables):
-        found = _counterexample(t, u, env, Carrier.NON_NEGATIVE)
-        if found.lhs_value != found.rhs_value:
-            return Decision(False, found)
+    # separating 0/1 point refutes it outright; searching before the case
+    # split also yields the simplest counterexamples first.  The first
+    # point, all ones, checks both sides against the signature.
+    for zeros in islice(_zero_sets(variables), _ZERO_PATTERN_LIMIT + 1):
+        p, q = _value_at(t, zeros, SignatureId.IAMDZ)
+        r, s = _value_at(u, zeros, SignatureId.IAMDZ)
+        if p * s != r * q:
+            env = {v: Fraction(0) if v in zeros else Fraction(1) for v in variables}
+            return Decision(False, Counterexample(env, Fraction(p, q), Fraction(r, s)))
     if not variables:
         # A closed equation was settled by its one zero pattern, the empty one.
-        return Decision(True, MatchedNormals(found.lhs_value, found.rhs_value))
+        return Decision(True, MatchedNormals(Fraction(p, q), Fraction(r, s)))
     steps: list[TraceStep] = []
     decided: set[tuple[Term, Term]] = set()
     for zeros in _zero_sets(variables):
@@ -223,16 +250,6 @@ def _zero_sets(variables: list[str]):
     """Every set of the variables, smallest first."""
     for size in range(len(variables) + 1):
         yield from combinations(variables, size)
-
-
-def zero_pattern_assignments(variables: list[str]):
-    """All-ones, then every pattern of zeros over the variables.
-
-    Used by counterexample searches in the zero-carrying setting;
-    capped to keep enumeration bounded for many variables.
-    """
-    for zeros in islice(_zero_sets(variables), _ZERO_PATTERN_LIMIT + 1):
-        yield {v: Fraction(0) if v in zeros else Fraction(1) for v in variables}
 
 
 def decide_divisive(

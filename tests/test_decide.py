@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from functools import reduce
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from meadows import (
     Inv,
     MatchedNormals,
     Mul,
+    Neg,
     NotInSignature,
     ONE,
     RecursionTrace,
@@ -34,6 +36,7 @@ from meadows import (
     numeral,
     power,
 )
+from meadows.decide import _value_at
 from meadows.terms import Term
 from termgen import random_term
 
@@ -110,6 +113,25 @@ class TestDecideIamd:
             decide_iamd(Add(X, ZERO), X)
         with pytest.raises(NotInSignature):
             decide_iamd(Div(X, X), ONE)
+
+    def test_refutes_before_expanding(self, monkeypatch):
+        import meadows.decide
+
+        def split_inverse(*args):
+            raise AssertionError("a side was expanded")
+
+        monkeypatch.setattr(meadows.decide, "split_inverse", split_inverse)
+        product = Mul(
+            power(reduce(Add, [X, Y, Var("z"), Var("w"), ONE]), 12),
+            power(reduce(Add, [Mul(X, Y), Mul(Var("z"), Var("w")), X, ONE]), 8),
+        )
+        value = Fraction(5**12 * 4**8)
+        expected = Counterexample(dict.fromkeys("wxyz", Fraction(1)), value, value + 1)
+        for decision in (
+            decide_iamd(product, Add(product, ONE)),
+            decide_divisive(product, Add(product, ONE), TheoryId.DAMD),
+        ):
+            assert decision == Decision(False, expected)
 
     def test_size_limit_propagates(self):
         big = power(Add(X, ONE), 12)
@@ -215,6 +237,52 @@ class TestDecideIamd:
         assert decide_iamd(t, u).verdict == decide_closed(t, u, SignatureId.IAMD).verdict
 
 
+@pytest.mark.parametrize(
+    "procedure, sig, foreign",
+    [
+        (decide_iamd, "iamd", Neg(X)),
+        (decide_iamd, "iamd", ZERO),
+        (decide_iamd, "iamd", Div(X, X)),
+        (decide_iamdz_gil, "iamdz", Neg(X)),
+        (decide_iamdz_gil, "iamdz", Div(X, X)),
+    ],
+    ids=["iamd-neg", "iamd-zero", "iamd-div", "iamdz-neg", "iamdz-div"],
+)
+@pytest.mark.parametrize("side", ["lhs", "rhs"])
+@pytest.mark.parametrize("depth", [0, 50])
+def test_rejects_foreign_constructors_on_either_side_at_any_depth(
+    procedure, sig, foreign, side, depth
+):
+    # The sides differ at all-ones, so the check must come before any refutation.
+    bad = reduce(lambda t, _: Mul(Add(t, ONE), X), range(depth), foreign)
+    pair = (bad, Add(X, ONE)) if side == "lhs" else (Add(X, ONE), bad)
+    with pytest.raises(NotInSignature, match=f"both sides must conform to the {sig} signature"):
+        procedure(*pair)
+
+
+class TestValueAtZeroOnePoints:
+    """The integer fold that refutes before expanding agrees with ``eval_total``."""
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=100, deadline=None)
+    def test_all_ones_over_positives(self, seed: int):
+        t = random_term(random.Random(seed), SignatureId.IAMD, 14, ("x", "y", "z"))
+        num, den = _value_at(t, (), SignatureId.IAMD)
+        ones = dict.fromkeys(free_vars(t), Fraction(1))
+        assert Fraction(num, den) == eval_total(t, ones, Carrier.POSITIVE)
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=100, deadline=None)
+    def test_every_zero_pattern_over_non_negatives(self, seed: int):
+        t = random_term(random.Random(seed), SignatureId.IAMDZ, 14, ("x", "y", "z"))
+        names = free_vars(t)
+        for size in range(len(names) + 1):
+            for zeros in combinations(names, size):
+                num, den = _value_at(t, zeros, SignatureId.IAMDZ)
+                env = {v: Fraction(0) if v in zeros else Fraction(1) for v in names}
+                assert Fraction(num, den) == eval_total(t, env, Carrier.NON_NEGATIVE)
+
+
 class TestDecideIamdzGil:
     def test_inverse_law_fails_at_zero(self):
         d = decide_iamdz_gil(Mul(X, Inv(X)), ONE)
@@ -311,7 +379,7 @@ class TestDecideIamdzGil:
 
         calls = []
         monkeypatch.setattr(
-            meadows.decide, "eval_total", lambda *args: calls.append(args) or eval_total(*args)
+            meadows.decide, "_value_at", lambda *args: calls.append(args) or _value_at(*args)
         )
         d = decide_iamdz_gil(Mul(numeral(3), Inv(numeral(2))), Add(ONE, Inv(numeral(2))))
         assert d.verdict

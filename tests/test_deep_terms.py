@@ -21,6 +21,8 @@ from meadows import (
     Add,
     Carrier,
     ContainsInverse,
+    Counterexample,
+    Decision,
     DefClass,
     Defined,
     Div,
@@ -226,6 +228,18 @@ def test_decision_procedures(kind):
         assert refuted.verdict is False
         cx = refuted.evidence
         assert cx.lhs_value == eval_total(t, cx.assignment) != cx.rhs_value
+
+
+def test_deep_false_equation_is_refuted_before_expansion(monkeypatch):
+    import meadows.decide
+
+    def split_inverse(*args):
+        raise AssertionError("a side was expanded")
+
+    monkeypatch.setattr(meadows.decide, "split_inverse", split_inverse)
+    n = DECIDE_DEPTH
+    d = decide_iamd(numeral(n), numeral(n + 1))
+    assert d == Decision(False, Counterexample({}, Fraction(n), Fraction(n + 1)))
 
 
 def run_cli(capsys, *argv):
