@@ -8,10 +8,11 @@ the question to syntactic equality of positive polynomials
 
 With 0 in the signature and the general inverse law (x != 0 implies
 x * x^-1 = 1) assumed, every variable is 0 or invertible, so provability
-is decided by cases over the sets of variables set to 0: for each zero
-set, in order of size, substitute 0, eliminate it from both sides and
-run the zero-free comparison, deciding each distinct case once and
-keeping its decision as evidence (``decide_iamdz_gil``).
+is decided by cases over the sets of variables set to 0: the zero sets
+are visited in order of size, each one's reduced pair of sides derived
+from its parent's (the set without its last variable) by setting one
+more variable to 0, and each distinct case is decided once by the
+zero-free comparison and kept as evidence (``decide_iamdz_gil``).
 
 Divisive equations are decided by translating division away; closed
 terms of any of the seven signatures are decided by comparing their
@@ -21,11 +22,11 @@ evaluation doubles as an independent oracle for the syntactic procedures.
 A false verdict always carries a concrete counterexample assignment.
 Both procedures first evaluate the two sides exactly at 0/1 points (the
 all-ones point, or every zero pattern) and refute at the first point
-that separates them, before normalizing anything; true verdicts come
-only from matched normal forms.  Otherwise the zero-carrying search
-lifts the counterexample of the first failing case, and the zero-free
-search specializes the two distinct cross-product polynomials one
-variable at a time to small positive integers at which they differ
+that separates them, before normalizing or translating anything; true
+verdicts come only from matched normal forms.  Otherwise the zero-carrying
+search lifts the counterexample of the first failing case, and the
+zero-free search specializes the two distinct cross-product polynomials
+one variable at a time to small positive integers at which they differ
 (``PosPoly.separating_point``), which always succeeds because a nonzero
 polynomial has only finitely many roots per variable.
 """
@@ -43,6 +44,7 @@ from .normalize import DEFAULT_MAX_MONOMIALS, PosPoly, closed_normal, split_inve
 from .terms import (
     ZERO,
     Add,
+    Div,
     Inv,
     Mul,
     One,
@@ -124,11 +126,8 @@ def decide_iamd(t: Term, u: Term, max_monomials: int = DEFAULT_MAX_MONOMIALS) ->
     the cross products t1*u2 and u1*t2 are the same polynomial; if not, the
     counterexample is a point of small positive integers where they differ.
     """
-    p, q = _value_at(t, (), SignatureId.IAMD)
-    r, s = _value_at(u, (), SignatureId.IAMD)
-    if p * s != r * q:
-        ones = dict.fromkeys(sorted({*free_vars(t), *free_vars(u)}), Fraction(1))
-        return Decision(False, Counterexample(ones, Fraction(p, q), Fraction(r, s)))
+    if (refuted := _refuted_at_ones(t, u, SignatureId.IAMD)) is not None:
+        return refuted
     a = split_inverse(t, max_monomials)
     b = split_inverse(u, max_monomials)
     left = a.numerator.mul(b.denominator, max_monomials)
@@ -143,11 +142,21 @@ def decide_iamd(t: Term, u: Term, max_monomials: int = DEFAULT_MAX_MONOMIALS) ->
     return Decision(False, _counterexample(t, u, env, Carrier.POSITIVE))
 
 
+def _refuted_at_ones(t: Term, u: Term, sig: SignatureId) -> Decision | None:
+    """A false verdict when zero-free sides differ at the all-ones point, else None."""
+    (p, q), (r, s) = _value_at(t, (), sig), _value_at(u, (), sig)
+    if p * s != r * q:
+        ones = dict.fromkeys(sorted({*free_vars(t), *free_vars(u)}), Fraction(1))
+        return Decision(False, Counterexample(ones, Fraction(p, q), Fraction(r, s)))
+    return None
+
+
 def _value_at(t: Term, zeros: Container[str], sig: SignatureId) -> tuple[int, int]:
     """The exact value of ``t`` with the variables in ``zeros`` 0 and the rest 1,
     as an unreduced pair (numerator, denominator > 0); NotInSignature at a
     constructor outside ``sig``."""
-    has_zero = sig.has_zero
+    allowed = sig.constructors
+    has_zero, has_inv, has_div = Zero in allowed, Inv in allowed, Div in allowed
 
     def visit(node: Term, a: tuple[int, int] = (1, 1), b: tuple[int, int] = (1, 1)):
         kind = node.__class__
@@ -155,12 +164,14 @@ def _value_at(t: Term, zeros: Container[str], sig: SignatureId) -> tuple[int, in
             return a[0] * b[1] + b[0] * a[1], a[1] * b[1]
         if kind is Mul:
             return a[0] * b[0], a[1] * b[1]
-        if kind is Inv:  # 0^-1 = 0
+        if kind is Inv and has_inv:  # 0^-1 = 0
             return (a[1], a[0]) if a[0] else (0, 1)
         if kind is Var:
             return (0, 1) if node.name in zeros else (1, 1)
         if kind is One:
             return 1, 1
+        if kind is Div and has_div:  # q / 0 = 0
+            return (a[0] * b[1], a[1] * b[0]) if b[0] else (0, 1)
         if kind is Zero and has_zero:
             return 0, 1
         raise NotInSignature(f"both sides must conform to the {sig.value} signature")
@@ -188,10 +199,12 @@ def decide_iamdz_gil(t: Term, u: Term, max_monomials: int = DEFAULT_MAX_MONOMIAL
     Under the law every variable is 0 or invertible, so the equation is
     provable exactly when it holds for each set S of its variables taken
     to be 0 and the rest nonzero.  The zero sets are visited in order of
-    size.  For each, 0 is substituted for S and eliminated from both
-    sides, and a pair not met before is decided once: both sides 0 is
-    true, exactly one side 0 is false (a zero-free term is positive at
-    the all-ones point), and otherwise the zero-free comparison decides.
+    size.  Since elimination commutes with setting variables to 0 one at
+    a time, the reduced pair of S is its parent's (S without its last
+    variable) with that variable substituted by 0 and eliminated.  A pair
+    not met before is decided once: both sides 0 is true, exactly one
+    side 0 is false (a zero-free term is positive at the all-ones point),
+    and otherwise the zero-free comparison decides.
     A true verdict carries these case decisions as a ``RecursionTrace``;
     a false one carries a counterexample from the first failing case, a
     minimal zero set.
@@ -212,11 +225,18 @@ def decide_iamdz_gil(t: Term, u: Term, max_monomials: int = DEFAULT_MAX_MONOMIAL
         return Decision(True, MatchedNormals(Fraction(p, q), Fraction(r, s)))
     steps: list[TraceStep] = []
     decided: set[tuple[Term, Term]] = set()
+    # The reduced pairs of the previous size's zero sets and of this size's.
+    parents, pairs = {}, {(): (zero_elim(t), zero_elim(u))}
     for zeros in _zero_sets(variables):
-        s, s2 = t, u
-        for var in zeros:
-            s, s2 = substitute(s, var, ZERO), substitute(s2, var, ZERO)
-        s, s2 = zero_elim(s), zero_elim(s2)
+        if zeros:
+            if len(zeros) > len(next(iter(pairs))):
+                parents, pairs = pairs, {}  # the first zero set of a new size
+            ps, ps2 = pairs[zeros] = parents[zeros[:-1]]
+            s, s2 = substitute(ps, zeros[-1], ZERO), substitute(ps2, zeros[-1], ZERO)
+            if s is ps and s2 is ps2:
+                continue  # the variable no longer occurs: the parent's case
+            pairs[zeros] = zero_elim(s), zero_elim(s2)
+        s, s2 = pairs[zeros]
         if (s, s2) in decided:
             continue
         decided.add((s, s2))
@@ -264,11 +284,11 @@ def decide_divisive(
     zero-totalized values.
     """
     if theory is TheoryId.DAMD:
-        sig, procedure = SignatureId.DAMD, decide_iamd
-    elif theory is TheoryId.RATDAZ_GIL:
-        sig, procedure = SignatureId.DAMDZ, decide_iamdz_gil
-    else:
+        # The all-ones fold checks the signature and refutes before translating.
+        refuted = _refuted_at_ones(t, u, SignatureId.DAMD)
+        return refuted or decide_iamd(div_to_inv(t), div_to_inv(u), max_monomials)
+    if theory is not TheoryId.RATDAZ_GIL:
         raise ValueError(f"no divisive decision procedure for theory {theory.value}")
-    if not (conforms(t, sig) and conforms(u, sig)):
-        raise NotInSignature(f"both sides must conform to the {sig.value} signature")
-    return procedure(div_to_inv(t), div_to_inv(u), max_monomials)
+    if not (conforms(t, SignatureId.DAMDZ) and conforms(u, SignatureId.DAMDZ)):
+        raise NotInSignature("both sides must conform to the damdz signature")
+    return decide_iamdz_gil(div_to_inv(t), div_to_inv(u), max_monomials)

@@ -35,6 +35,7 @@ from meadows import (
     free_vars,
     numeral,
     power,
+    substitute,
 )
 from meadows.decide import _value_at
 from meadows.terms import Term
@@ -120,7 +121,11 @@ class TestDecideIamd:
         def split_inverse(*args):
             raise AssertionError("a side was expanded")
 
+        def div_to_inv(*args):
+            raise AssertionError("a side was translated")
+
         monkeypatch.setattr(meadows.decide, "split_inverse", split_inverse)
+        monkeypatch.setattr(meadows.decide, "div_to_inv", div_to_inv)
         product = Mul(
             power(reduce(Add, [X, Y, Var("z"), Var("w"), ONE]), 12),
             power(reduce(Add, [Mul(X, Y), Mul(Var("z"), Var("w")), X, ONE]), 8),
@@ -266,21 +271,23 @@ class TestValueAtZeroOnePoints:
     @given(st.integers(0, 10**6))
     @settings(max_examples=100, deadline=None)
     def test_all_ones_over_positives(self, seed: int):
-        t = random_term(random.Random(seed), SignatureId.IAMD, 14, ("x", "y", "z"))
-        num, den = _value_at(t, (), SignatureId.IAMD)
-        ones = dict.fromkeys(free_vars(t), Fraction(1))
-        assert Fraction(num, den) == eval_total(t, ones, Carrier.POSITIVE)
+        for sig in (SignatureId.IAMD, SignatureId.DAMD):
+            t = random_term(random.Random(seed), sig, 14, ("x", "y", "z"))
+            num, den = _value_at(t, (), sig)
+            ones = dict.fromkeys(free_vars(t), Fraction(1))
+            assert Fraction(num, den) == eval_total(t, ones, Carrier.POSITIVE)
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=100, deadline=None)
     def test_every_zero_pattern_over_non_negatives(self, seed: int):
-        t = random_term(random.Random(seed), SignatureId.IAMDZ, 14, ("x", "y", "z"))
-        names = free_vars(t)
-        for size in range(len(names) + 1):
-            for zeros in combinations(names, size):
-                num, den = _value_at(t, zeros, SignatureId.IAMDZ)
-                env = {v: Fraction(0) if v in zeros else Fraction(1) for v in names}
-                assert Fraction(num, den) == eval_total(t, env, Carrier.NON_NEGATIVE)
+        for sig in (SignatureId.IAMDZ, SignatureId.DAMDZ):
+            t = random_term(random.Random(seed), sig, 14, ("x", "y", "z"))
+            names = free_vars(t)
+            for size in range(len(names) + 1):
+                for zeros in combinations(names, size):
+                    num, den = _value_at(t, zeros, sig)
+                    env = {v: Fraction(0) if v in zeros else Fraction(1) for v in names}
+                    assert Fraction(num, den) == eval_total(t, env, Carrier.NON_NEGATIVE)
 
 
 class TestDecideIamdzGil:
@@ -318,18 +325,30 @@ class TestDecideIamdzGil:
     def test_one_case_per_zero_set(self, monkeypatch):
         import meadows.decide
 
-        calls = []
+        calls, substitutions = [], []
         monkeypatch.setattr(
             meadows.decide, "decide_iamd", lambda *args: calls.append(args) or decide_iamd(*args)
         )
-        names = [Var(f"v{i}") for i in range(8)]
-        lhs = reduce(Add, [Mul(v, Inv(v)) for v in names])
-        rhs = reduce(Add, [Mul(Inv(v), v) for v in names])
+        monkeypatch.setattr(
+            meadows.decide,
+            "substitute",
+            lambda *args: substitutions.append(args) or substitute(*args),
+        )
+        names = [f"v{i}" for i in range(8)]
+        lhs = reduce(Add, [Mul(Var(v), Inv(Var(v))) for v in names])
+        rhs = reduce(Add, [Mul(Inv(Var(v)), Var(v)) for v in names])
         d = decide_iamdz_gil(lhs, rhs)
         assert d.verdict
         assert isinstance(d.evidence, RecursionTrace)
         assert len(d.evidence.steps) == 2**8
         assert len(calls) <= 2**8
+        # Each zero set is its parent's with one more variable at 0.
+        assert len(substitutions) <= 2 * (2**8 - 1)
+        assert [step.description for step in d.evidence.steps] == [
+            ", ".join(f"{v} = 0" for v in zeros) or "all variables nonzero"
+            for size in range(len(names) + 1)
+            for zeros in combinations(names, size)
+        ]
 
     def test_rejects_foreign_constructors(self):
         from meadows import Neg
@@ -507,6 +526,12 @@ class TestDecideDivisive:
     def test_rejects_inversive_terms(self):
         with pytest.raises(NotInSignature):
             decide_divisive(Inv(X), ONE, TheoryId.DAMD)
+        deep = Inv(X)
+        for _ in range(50):
+            deep = Div(ONE, Add(deep, X))
+        for t, u in ((deep, X), (X, deep)):
+            with pytest.raises(NotInSignature):
+                decide_divisive(t, u, TheoryId.DAMD)
 
     def test_rejects_undecidable_theory(self):
         with pytest.raises(ValueError):

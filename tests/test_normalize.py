@@ -31,6 +31,7 @@ from meadows import (
     numeral,
     poly_normal,
     split_inverse,
+    substitute,
     zero_elim,
 )
 from termgen import random_env, random_term
@@ -444,6 +445,18 @@ class TestZeroElim:
         got = zero_elim(t)
         if got != ZERO:
             assert conforms(got, SignatureId.IAMD)
+
+    @given(st.integers(0, 10**6), st.permutations("wxyz"), st.integers(0, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_commutes_with_staged_zero_sets(self, seed: int, order: list[str], size: int):
+        # Setting variables to 0 one at a time, eliminating after each, as
+        # the GIL case split does, equals setting them all and eliminating once.
+        t = random_term(random.Random(seed), SignatureId.IAMDZ, 16, "wxyz")
+        staged, full = zero_elim(t), t
+        for v in order[:size]:
+            staged = zero_elim(substitute(staged, v, ZERO))
+            full = substitute(full, v, ZERO)
+        assert staged == zero_elim(full)
 
     @given(st.integers(0, 500))
     @settings(max_examples=80)
