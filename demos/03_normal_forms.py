@@ -22,7 +22,8 @@ print(render(product), "normalizes to", poly_normal(product).render())
 # Terms with the inverse split into a single fraction of positive
 # polynomials: the inverse distributes over products and cancels with
 # itself, so one inverse floats to the top.  No gcd cancellation is
-# attempted; the decision procedure happily compares cross products.
+# attempted; the decision procedure cancels only whole factors that its
+# two cross products share.
 from meadows import split_inverse
 
 t = Add(x, Inv(y))

@@ -5,9 +5,11 @@ Deciding equations between meadow terms
 """
 
 # Provability from the zero-free inversive theory is decidable: split
-# both sides into polynomial fractions and compare cross products.  A
-# true verdict shows the matched normals; a false verdict always carries
-# a counterexample assignment that separates the two sides.
+# both sides into polynomial fractions and compare cross products.  The
+# products stay factored, so the factors both cross products share cancel
+# first; a true verdict shows the matched normals, the cross products
+# left after that (here x cancels, leaving 1 vs 1).  A false verdict
+# always carries a counterexample assignment that separates the two sides.
 from meadows import Var, ONE, Inv, Mul, decide_iamd, parse_term, render
 
 x = Var("x")

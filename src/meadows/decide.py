@@ -4,7 +4,9 @@ Over the zero-free signature, t = u is provable exactly when the two
 sides denote the same function on positive rationals; splitting each
 side into a polynomial fraction and comparing cross products reduces
 the question to syntactic equality of positive polynomials
-(``decide_iamd``).
+(``decide_iamd``).  The cross products are kept as products of factors,
+and the factors they share cancel before the rest is expanded, which
+is exact because positive polynomials are nonzero.
 
 With 0 in the signature and the general inverse law (x != 0 implies
 x * x^-1 = 1) assumed, every variable is 0 or invertible, so provability
@@ -28,7 +30,8 @@ search lifts the counterexample of the first failing case, and the
 zero-free search specializes the two distinct cross-product polynomials
 one variable at a time to small positive integers at which they differ
 (``PosPoly.separating_point``), which always succeeds because a nonzero
-polynomial has only finitely many roots per variable.
+polynomial has only finitely many roots per variable; variables that
+cancelled out are set to 1.
 """
 
 from __future__ import annotations
@@ -40,7 +43,14 @@ from typing import Container, Union
 
 from .evaluate import Carrier, eval_total
 from .exceptions import NotInSignature
-from .normalize import DEFAULT_MAX_MONOMIALS, PosPoly, closed_normal, split_inverse, zero_elim
+from .normalize import (
+    DEFAULT_MAX_MONOMIALS,
+    PosPoly,
+    _cross_products,
+    closed_normal,
+    split_inverse,  # noqa: F401  (bench/tracing.py wraps decide.split_inverse)
+    zero_elim,
+)
 from .terms import (
     ZERO,
     Add,
@@ -122,23 +132,28 @@ def decide_iamd(t: Term, u: Term, max_monomials: int = DEFAULT_MAX_MONOMIALS) ->
     Both sides are evaluated exactly at the all-ones point first: zero-free
     terms are positive-valued, so sides that differ there are refuted at
     that point without being expanded.  Otherwise both sides are split into
-    polynomial fractions t1/t2 and u1/u2, and the equation is provable iff
-    the cross products t1*u2 and u1*t2 are the same polynomial; if not, the
-    counterexample is a point of small positive integers where they differ.
+    polynomial fractions t1/t2 and u1/u2, kept as products of factors, and
+    the equation is provable iff the cross products t1*u2 and u1*t2 are
+    the same polynomial.  The factors the two cross products share cancel
+    first, so the matched normals are the expanded remainders; if they
+    differ, the counterexample is a point of small positive integers where
+    they do.  ``max_monomials`` bounds every polynomial actually built.
     """
-    if (refuted := _refuted_at_ones(t, u, SignatureId.IAMD)) is not None:
-        return refuted
-    a = split_inverse(t, max_monomials)
-    b = split_inverse(u, max_monomials)
-    left = a.numerator.mul(b.denominator, max_monomials)
-    right = b.numerator.mul(a.denominator, max_monomials)
-    if left == right:
-        return Decision(True, MatchedNormals(left, right))
-    # The sides differ wherever the cross products do, since the
-    # denominators are positive at positive points.  Every variable of
-    # the sides occurs in a cross product, so the point binds them all.
-    point = left.separating_point(right)
-    env = {v: Fraction(value) for v, value in point.items()}
+    refuted = _refuted_at_ones(t, u, SignatureId.IAMD)
+    return refuted or _decide_zero_free(t, u, max_monomials)
+
+
+def _decide_zero_free(t: Term, u: Term, max_monomials: int) -> Decision:
+    """``decide_iamd`` without the all-ones refutation, which only saves
+    work: for sides already compared at that point."""
+    lhs, rhs = _cross_products(t, u, max_monomials)
+    if lhs == rhs:
+        return Decision(True, MatchedNormals(lhs, rhs))
+    # The sides differ wherever the cross products do, since the cancelled
+    # factors and the denominators are positive at positive points.  The
+    # variables the remainders lack are free, so they are set to 1.
+    point = lhs.separating_point(rhs)
+    env = {v: Fraction(point.get(v, 1)) for v in sorted({*free_vars(t), *free_vars(u)})}
     return Decision(False, _counterexample(t, u, env, Carrier.POSITIVE))
 
 
@@ -227,7 +242,8 @@ def decide_iamdz_gil(t: Term, u: Term, max_monomials: int = DEFAULT_MAX_MONOMIAL
     decided: set[tuple[Term, Term]] = set()
     # The reduced pairs of the previous size's zero sets and of this size's.
     parents, pairs = {}, {(): (zero_elim(t), zero_elim(u))}
-    for zeros in _zero_sets(variables):
+    for index, zeros in enumerate(_zero_sets(variables)):
+        searched = index <= _ZERO_PATTERN_LIMIT
         if zeros:
             if len(zeros) > len(next(iter(pairs))):
                 parents, pairs = pairs, {}  # the first zero set of a new size
@@ -248,7 +264,9 @@ def decide_iamdz_gil(t: Term, u: Term, max_monomials: int = DEFAULT_MAX_MONOMIAL
         if isinstance(s, Zero):
             decision = Decision(True, MatchedNormals(Fraction(0), Fraction(0)))
         else:
-            decision = decide_iamd(s, s2, max_monomials)
+            # The pre-search already compared the first zero sets' sides at all-ones.
+            decide = _decide_zero_free if searched else decide_iamd
+            decision = decide(s, s2, max_monomials)
             if not decision.verdict:
                 assert isinstance(decision.evidence, Counterexample)
                 return _refutation(t, u, variables, decision.evidence.assignment)
@@ -284,9 +302,10 @@ def decide_divisive(
     zero-totalized values.
     """
     if theory is TheoryId.DAMD:
-        # The all-ones fold checks the signature and refutes before translating.
+        # The all-ones fold checks the signature and refutes before translating,
+        # and translation keeps the values it compared.
         refuted = _refuted_at_ones(t, u, SignatureId.DAMD)
-        return refuted or decide_iamd(div_to_inv(t), div_to_inv(u), max_monomials)
+        return refuted or _decide_zero_free(div_to_inv(t), div_to_inv(u), max_monomials)
     if theory is not TheoryId.RATDAZ_GIL:
         raise ValueError(f"no divisive decision procedure for theory {theory.value}")
     if not (conforms(t, SignatureId.DAMDZ) and conforms(u, SignatureId.DAMDZ)):

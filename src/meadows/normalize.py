@@ -5,6 +5,10 @@ positive integer coefficients (``PosPoly``); positivity is structural,
 since the signature has no subtraction.  A term with inverses splits
 into a numerator/denominator pair of such polynomials (``PolyFraction``)
 by pushing the inverse through products and collapsing double inverses.
+Products stay unexpanded, as tuples of factors, until a sum needs their
+polynomial, so the zero-free decision procedure can cancel the factors
+two cross products share and expand only the rest (Davenport, Siret &
+Tournier, *Computer Algebra*, 1988, on expanded and factored forms).
 A closed term of any of the seven signatures normalizes to its exact
 value, a ``fractions.Fraction`` (``closed_normal``): positive without 0
 in the signature, non-negative with 0 but without negation, and of any
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import prod
 from typing import Iterator, Mapping
 
@@ -263,9 +268,9 @@ def _specialize(coeffs: Mapping[Monomial, int], var: str, value: int) -> dict[Mo
 class PolyFraction:
     """Numerator/denominator pair of positive polynomials.
 
-    No polynomial cancellation is attempted: the decision procedure
-    compares cross products, so reduced form is unnecessary, and the
-    subtraction-free setting offers no factorization to exploit anyway.
+    The pair is not reduced to lowest terms: polynomials are expanded as
+    they are built, and only whole factors are ever cancelled, by the
+    zero-free decision procedure before it expands its cross products.
     """
 
     numerator: PosPoly
@@ -278,6 +283,10 @@ class PolyFraction:
         return f"({self.numerator.render()}) / ({self.denominator.render()})"
 
 
+# An unexpanded product of positive polynomials, none of them 1.
+_Factors = tuple[PosPoly, ...]
+
+
 def split_inverse(t: Term, max_monomials: int = DEFAULT_MAX_MONOMIALS) -> PolyFraction:
     """Split a zero-free arithmetical term into an inverse-free fraction.
 
@@ -285,38 +294,104 @@ def split_inverse(t: Term, max_monomials: int = DEFAULT_MAX_MONOMIALS) -> PolyFr
     single inverse can be floated to the top; both components are then
     polynomial-normalized.  The result denotes the same value as ``t``
     at every positive point, and numerator * denominator^-1 is provably
-    equal to ``t``.  All leaves share one layout, over the free variables
-    of ``t``, so the polynomials repack only to widen their fields.
+    equal to ``t``.
+    """
+    num, den = _factored(t, free_vars(t), max_monomials)
+    return PolyFraction(_expand(num, max_monomials), _expand(den, max_monomials))
+
+
+def _factored(t: Term, names: tuple[str, ...], max_monomials: int) -> tuple[_Factors, _Factors]:
+    """Numerator and denominator factors of the zero-free term ``t``, whose
+    variables are among the sorted ``names``.
+
+    A product joins its operands' factors and an inverse swaps them, so
+    only a sum builds polynomials: it expands each operand to one
+    numerator and one denominator and adds the two fractions.  All leaves
+    share one layout, over ``names``, so the polynomials repack only to
+    widen their fields.
     """
     if max_monomials < 1:
         raise ValueError(f"max_monomials must be at least 1, not {max_monomials}")
-    layout = (free_vars(t), _WIDTH)
-    unit = PosPoly._make({0: 1}, layout, 0)
-    leaves = {v: PosPoly._make({_pack(((v, 1),), layout): 1}, layout, 1) for v in layout[0]}
+    layout = (names, _WIDTH)
+    leaves = {v: ((PosPoly._make({_pack(((v, 1),), layout): 1}, layout, 1),), ()) for v in names}
 
-    def visit(node: Term, a=None, b=None) -> PolyFraction:
+    def visit(node: Term, a=None, b=None) -> tuple[_Factors, _Factors]:
         kind = node.__class__
+        if kind is Mul:
+            return a[0] + b[0], a[1] + b[1]
+        if kind is Inv:
+            return a[1], a[0]
         if kind is Add:
-            num = a.numerator.mul(b.denominator, max_monomials).add(
-                b.numerator.mul(a.denominator, max_monomials)
-            )
+            a_num, a_den = _expand(a[0], max_monomials), _expand(a[1], max_monomials)
+            b_num, b_den = _expand(b[0], max_monomials), _expand(b[1], max_monomials)
+            num = a_num.mul(b_den, max_monomials).add(b_num.mul(a_den, max_monomials))
             if len(num) > max_monomials:
                 raise SizeLimit(len(num), max_monomials)
-            return PolyFraction(num, a.denominator.mul(b.denominator, max_monomials))
-        if kind is Mul:
-            return PolyFraction(
-                a.numerator.mul(b.numerator, max_monomials),
-                a.denominator.mul(b.denominator, max_monomials),
-            )
-        if kind is Inv:
-            return PolyFraction(a.denominator, a.numerator)
+            if not (a[1] or b[1]):
+                return (num,), ()
+            return (num,), (a_den.mul(b_den, max_monomials),)
         if kind is One:
-            return PolyFraction(unit, unit)
+            return (), ()
         if kind is Var:
-            return PolyFraction(leaves[node.name], unit)
+            return leaves[node.name]
         raise NotInSignature(f"{kind.__name__} does not occur in the iamd signature")
 
     return fold(t, visit)
+
+
+def _expand(factors: _Factors, max_monomials: int) -> PosPoly:
+    """The product of ``factors``.  Equal factors are first raised to their
+    power, then the two smallest polynomials are multiplied until one is
+    left, which keeps the early products small."""
+    if len(factors) < 3:
+        if len(factors) == 2:
+            return factors[0].mul(factors[1], max_monomials)
+        return factors[0] if factors else _UNIT
+    powers: list[list] = []  # [base, exponent]
+    for factor in factors:
+        for entry in powers:
+            if entry[0] == factor:
+                entry[1] += 1
+                break
+        else:
+            powers.append([factor, 1])
+    heap = []
+    for order, (base, exponent) in enumerate(powers):
+        power = base
+        for _ in range(exponent - 1):
+            power = power.mul(base, max_monomials)
+        heap.append((len(power), order, power))
+    heapify(heap)
+    order = len(heap)
+    while len(heap) > 1:
+        product = heappop(heap)[2].mul(heappop(heap)[2], max_monomials)
+        heappush(heap, (len(product), order, product))
+        order += 1
+    return heap[0][2]
+
+
+def _cross_products(t: Term, u: Term, max_monomials: int) -> tuple[PosPoly, PosPoly]:
+    """The cross products t1*u2 and u1*t2 of the zero-free sides' fractions
+    t1/t2 and u1/u2, each with the factors the two share cancelled.
+
+    Positive polynomials are nonzero and polynomial rings over the
+    integers have no zero divisors, so A*C = B*C exactly when A = B:
+    cancelling keeps the comparison exact, and only the remainders are
+    expanded.
+    """
+    names = tuple(sorted({*free_vars(t), *free_vars(u)}))
+    t_num, t_den = _factored(t, names, max_monomials)
+    u_num, u_den = _factored(u, names, max_monomials)
+    right = list(u_num + t_den)
+    left = []
+    for factor in t_num + u_den:
+        for i, other in enumerate(right):
+            if factor == other:
+                del right[i]
+                break
+        else:
+            left.append(factor)
+    return _expand(tuple(left), max_monomials), _expand(tuple(right), max_monomials)
 
 
 def poly_normal(t: Term, max_monomials: int = DEFAULT_MAX_MONOMIALS) -> PosPoly:

@@ -35,6 +35,7 @@ from meadows import (
     free_vars,
     numeral,
     power,
+    split_inverse,
     substitute,
 )
 from meadows.decide import _value_at
@@ -125,6 +126,7 @@ class TestDecideIamd:
             raise AssertionError("a side was translated")
 
         monkeypatch.setattr(meadows.decide, "split_inverse", split_inverse)
+        monkeypatch.setattr(meadows.decide, "_cross_products", split_inverse)
         monkeypatch.setattr(meadows.decide, "div_to_inv", div_to_inv)
         product = Mul(
             power(reduce(Add, [X, Y, Var("z"), Var("w"), ONE]), 12),
@@ -139,13 +141,50 @@ class TestDecideIamd:
             assert decision == Decision(False, expected)
 
     def test_size_limit_propagates(self):
+        # The distributed side's sum must be expanded, to 13 monomials.
         big = power(Add(X, ONE), 12)
+        distributed = Add(Mul(power(Add(X, ONE), 11), X), power(Add(X, ONE), 11))
         with pytest.raises(SizeLimit):
-            decide_iamd(big, big, max_monomials=10)
+            decide_iamd(big, distributed, max_monomials=10)
+        # Identical factors cancel, so nothing is built and the bound is not hit.
+        assert decide_iamd(big, big, max_monomials=10).verdict
 
     def test_monomial_bound_below_one_is_rejected(self):
         with pytest.raises(ValueError):
             decide_iamd(X, X, max_monomials=0)
+
+    def test_counterexample_binds_cancelled_variables(self):
+        # y cancels, and the remainders x^2 + 1 and 2*x first differ at x = 2.
+        t = Mul(Add(Mul(X, X), ONE), Y)
+        u = Mul(Add(X, X), Y)
+        d = decide_iamd(t, u)
+        ce = Counterexample({"x": Fraction(2), "y": Fraction(1)}, Fraction(5), Fraction(4))
+        assert d == Decision(False, ce)
+        assert eval_total(t, ce.assignment, Carrier.POSITIVE) == ce.lhs_value
+        assert eval_total(u, ce.assignment, Carrier.POSITIVE) == ce.rhs_value
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=80, deadline=None)
+    def test_agrees_with_expanded_cross_products(self, seed: int):
+        rng = random.Random(seed)
+        names = ("x", "y", "z")
+        t = random_term(rng, SignatureId.IAMD, max_size=12, variables=names)
+        u = random_term(rng, SignatureId.IAMD, max_size=12, variables=names)
+        s = random_term(rng, SignatureId.IAMD, max_size=6, variables=names)
+        t, u = rng.choice([(t, u), (Mul(Mul(s, t), Inv(s)), t), (Mul(s, t), Mul(u, s))])
+        a, b = split_inverse(t), split_inverse(u)
+        expanded = a.numerator * b.denominator == b.numerator * a.denominator
+        d = decide_iamd(t, u)
+        assert d.verdict == expanded
+        if d.verdict:
+            assert isinstance(d.evidence, MatchedNormals)
+            assert d.evidence.lhs == d.evidence.rhs
+        else:
+            ce = d.evidence
+            assert ce.assignment.keys() == {*free_vars(t), *free_vars(u)}
+            assert eval_total(t, ce.assignment, Carrier.POSITIVE) == ce.lhs_value
+            assert eval_total(u, ce.assignment, Carrier.POSITIVE) == ce.rhs_value
+            assert ce.lhs_value != ce.rhs_value
 
     def test_deterministic(self):
         assert decide_iamd(X, Y) == decide_iamd(X, Y)
@@ -350,6 +389,26 @@ class TestDecideIamdzGil:
             for zeros in combinations(names, size)
         ]
 
+    def test_searched_zero_sets_are_not_folded_again(self, monkeypatch):
+        import meadows.decide
+
+        folds, calls = [], []
+        monkeypatch.setattr(
+            meadows.decide, "_value_at", lambda *args: folds.append(args) or _value_at(*args)
+        )
+        monkeypatch.setattr(
+            meadows.decide, "decide_iamd", lambda *args: calls.append(args) or decide_iamd(*args)
+        )
+        names = [f"v{i}" for i in range(9)]
+        lhs = reduce(Add, [Mul(Var(v), Inv(Var(v))) for v in names])
+        rhs = reduce(Add, [Mul(Inv(Var(v)), Var(v)) for v in names])
+        assert decide_iamdz_gil(lhs, rhs).verdict
+        # The pre-search compares the first 257 of the 512 zero sets.  Of the
+        # rest, all but the full set (both sides 0) go through decide_iamd,
+        # which folds both sides at all-ones again.
+        assert len(calls) == 512 - 257 - 1
+        assert len(folds) == 2 * 257 + 2 * len(calls)
+
     def test_rejects_foreign_constructors(self):
         from meadows import Neg
 
@@ -532,6 +591,16 @@ class TestDecideDivisive:
         for t, u in ((deep, X), (X, deep)):
             with pytest.raises(NotInSignature):
                 decide_divisive(t, u, TheoryId.DAMD)
+
+    def test_zero_free_sides_are_folded_once(self, monkeypatch):
+        import meadows.decide
+
+        folds = []
+        monkeypatch.setattr(
+            meadows.decide, "_value_at", lambda *args: folds.append(args) or _value_at(*args)
+        )
+        assert decide_divisive(Div(Add(X, Y), Add(Y, X)), ONE, TheoryId.DAMD).verdict
+        assert len(folds) == 2
 
     def test_rejects_undecidable_theory(self):
         with pytest.raises(ValueError):
