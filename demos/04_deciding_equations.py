@@ -42,7 +42,8 @@ print("(1 + x^2 + y^2)(...)^-1 = 1:", decide_iamdz_gil(squares, ONE).verdict)
 
 # The equivalence between the two rational-number specifications rests
 # on one equation; its decision runs the zero-set case split, and the
-# trace records every case.
+# trace records the cases it decided.  Both inverted arguments vanish
+# exactly when x does, so y = 0 is no case of its own.
 lhs = parse_term("(x * (x + y)) * (x * (x + y))^-1")
 rhs = parse_term("x * x^-1")
 d = decide_iamdz_gil(lhs, rhs)

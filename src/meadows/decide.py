@@ -10,11 +10,10 @@ is exact because positive polynomials are nonzero.
 
 With 0 in the signature and the general inverse law (x != 0 implies
 x * x^-1 = 1) assumed, every variable is 0 or invertible, so provability
-is decided by cases over the sets of variables set to 0: the zero sets
-are visited in order of size, each one's reduced pair of sides derived
-from its parent's (the set without its last variable) by setting one
-more variable to 0, and each distinct case is decided once by the
-zero-free comparison and kept as evidence (``decide_iamdz_gil``).
+is decided by cases over the sets of variables set to 0.  The split
+visits only the zero sets at which one more inverted argument vanishes,
+and decides each distinct case once by the zero-free comparison, kept
+as evidence (``decide_iamdz_gil``).
 
 Divisive equations are decided by translating division away; closed
 terms of any of the seven signatures are decided by comparing their
@@ -38,7 +37,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice
+from heapq import heappop, heappush
+from itertools import combinations, compress, islice
 from typing import Container, Union
 
 from .evaluate import Carrier, eval_total
@@ -71,6 +71,7 @@ from .theories import TheoryId
 from .translate import div_to_inv
 
 _ZERO_PATTERN_LIMIT = 256
+_GUARD_FAMILY_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -108,8 +109,8 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class RecursionTrace:
-    """The true cases of the zero-set split, one per distinct pair of reduced
-    sides, named ``"all variables nonzero"``, ``"x = 0"``, ``"x = 0, y = 0"``, ..."""
+    """The true cases of the zero-set split, one per case decided, named
+    ``"all variables nonzero"``, ``"x = 0"``, ``"x = 0, y = 0"``, ..."""
 
     steps: tuple[TraceStep, ...]
 
@@ -213,16 +214,26 @@ def decide_iamdz_gil(t: Term, u: Term, max_monomials: int = DEFAULT_MAX_MONOMIAL
 
     Under the law every variable is 0 or invertible, so the equation is
     provable exactly when it holds for each set S of its variables taken
-    to be 0 and the rest nonzero.  The zero sets are visited in order of
-    size.  Since elimination commutes with setting variables to 0 one at
-    a time, the reduced pair of S is its parent's (S without its last
-    variable) with that variable substituted by 0 and eliminated.  A pair
-    not met before is decided once: both sides 0 is true, exactly one
-    side 0 is false (a zero-free term is positive at the all-ones point),
-    and otherwise the zero-free comparison decides.
-    A true verdict carries these case decisions as a ``RecursionTrace``;
-    a false one carries a counterexample from the first failing case, a
-    minimal zero set.
+    to be 0 and the rest nonzero.  Not every S needs a case of its own:
+    if the case of C holds and no inverted argument that is nonzero at C
+    vanishes at S ⊇ C, every denominator is nonzero at S, so the cross
+    products that matched at C give equal values there too.  This holds
+    for every inverted argument, not only the final denominator:
+    ``(1 + x^-1)^-1`` has denominator ``x + 1``, yet is 1 at x = 0.  So
+    the split starts from the empty zero set and queues, after each case
+    C, the sets C ∪ T for every minimal zero set T of an argument still
+    nonzero at C (``_guards``), visiting them smallest first in the order
+    of ``_zero_sets``; a refutation still comes from the first failing
+    zero set in that order.  Since elimination commutes with setting
+    variables to 0, the reduced pair of a queued set is that of the case
+    which queued it, with the new variables substituted by 0 and
+    eliminated.  A pair not met before is decided once: both sides 0 is
+    true, and stays so at every larger zero set; exactly one side 0 is
+    false (a zero-free term is positive at the all-ones point); otherwise
+    the zero-free comparison decides.  A true verdict carries these case
+    decisions as a ``RecursionTrace``, or the decision itself when only
+    one case was decided, as for an inverse-free identity; a false one
+    carries a counterexample from the first failing case.
     """
     variables = sorted({*free_vars(t), *free_vars(u)})
     # A derivable equation holds at every non-negative point, so any
@@ -238,44 +249,134 @@ def decide_iamdz_gil(t: Term, u: Term, max_monomials: int = DEFAULT_MAX_MONOMIAL
     if not variables:
         # A closed equation was settled by its one zero pattern, the empty one.
         return Decision(True, MatchedNormals(Fraction(p, q), Fraction(r, s)))
+    # Zero sets are masks, with bit n-1-i for the i-th variable: then among
+    # the sets of one size the larger mask comes first in the order of
+    # ``_zero_sets``, so the heap pops them in that order by this key.
+    n = len(variables)
+    full = (1 << n) - 1
+    bits = [1 << (n - 1 - i) for i in range(n)]
+    bit = dict(zip(variables, bits))
+
+    def order(mask: int) -> int:
+        return mask.bit_count() << n | full & ~mask
+
+    last_searched = order(sum(map(bit.__getitem__, zeros)))
+    root = zero_elim(t), zero_elim(u)
+    single, guards = _guards(root, bit)
     steps: list[TraceStep] = []
     decided: set[tuple[Term, Term]] = set()
-    # The reduced pairs of the previous size's zero sets and of this size's.
-    parents, pairs = {}, {(): (zero_elim(t), zero_elim(u))}
-    for index, zeros in enumerate(_zero_sets(variables)):
-        searched = index <= _ZERO_PATTERN_LIMIT
-        if zeros:
-            if len(zeros) > len(next(iter(pairs))):
-                parents, pairs = pairs, {}  # the first zero set of a new size
-            ps, ps2 = pairs[zeros] = parents[zeros[:-1]]
-            s, s2 = substitute(ps, zeros[-1], ZERO), substitute(ps2, zeros[-1], ZERO)
-            if s is ps and s2 is ps2:
-                continue  # the variable no longer occurs: the parent's case
-            pairs[zeros] = zero_elim(s), zero_elim(s2)
-        s, s2 = pairs[zeros]
-        if (s, s2) in decided:
-            continue
-        decided.add((s, s2))
-        if isinstance(s, Zero) != isinstance(s2, Zero):
-            # One side is derivably 0, the other is zero-free and therefore
-            # strictly positive at the all-ones assignment.
-            ones = dict.fromkeys(free_vars(s) + free_vars(s2), Fraction(1))
-            return _refutation(t, u, variables, ones)
+    # Each queued zero set maps to the set that queued it and that set's reduced pair.
+    queued = {0: (0, root)}
+    heap = [order(0)]
+    while heap:
+        key = heappop(heap)
+        mask = full & ~key
+        zeros = tuple(compress(variables, map(mask.__and__, bits)))
+        parent, (ps, ps2) = queued[mask]
+        s, s2 = ps, ps2
+        for var in compress(variables, map((mask & ~parent).__and__, bits)):
+            s, s2 = substitute(s, var, ZERO), substitute(s2, var, ZERO)
+        if s is not ps or s2 is not ps2:
+            s, s2 = zero_elim(s), zero_elim(s2)
+        if (s, s2) not in decided:
+            decided.add((s, s2))
+            if isinstance(s, Zero) != isinstance(s2, Zero):
+                # One side is derivably 0, the other is zero-free and therefore
+                # strictly positive at the all-ones assignment.
+                ones = dict.fromkeys(free_vars(s) + free_vars(s2), Fraction(1))
+                return _refutation(t, u, variables, ones)
+            if isinstance(s, Zero):
+                decision = Decision(True, MatchedNormals(Fraction(0), Fraction(0)))
+            else:
+                # The pre-search already compared the first zero sets' sides at all-ones.
+                decide = _decide_zero_free if key <= last_searched else decide_iamd
+                decision = decide(s, s2, max_monomials)
+                if not decision.verdict:
+                    assert isinstance(decision.evidence, Counterexample)
+                    return _refutation(t, u, variables, decision.evidence.assignment)
+            case = ", ".join(f"{var} = 0" for var in zeros) or "all variables nonzero"
+            steps.append(TraceStep(case, decision))
         if isinstance(s, Zero):
-            decision = Decision(True, MatchedNormals(Fraction(0), Fraction(0)))
-        else:
-            # The pre-search already compared the first zero sets' sides at all-ones.
-            decide = _decide_zero_free if searched else decide_iamd
-            decision = decide(s, s2, max_monomials)
-            if not decision.verdict:
-                assert isinstance(decision.evidence, Counterexample)
-                return _refutation(t, u, variables, decision.evidence.assignment)
-        case = ", ".join(f"{var} = 0" for var in zeros) or "all variables nonzero"
-        steps.append(TraceStep(case, decision))
+            continue  # both sides stay 0 at every larger zero set
+        children = [mask | m for m in single if m & ~mask]
+        outside = (~mask).__and__  # the part of a zero set outside this one
+        for family, arg in guards:
+            if arg is None:
+                live = all(map(outside, family))
+            else:
+                live = _value_at(arg, zeros, SignatureId.IAMDZ)[0]
+            if live:  # else the argument is 0 already
+                children += [mask | m for m in family]
+        for child in children:
+            if child not in queued:
+                queued[child] = mask, (s, s2)
+                heappush(heap, order(child))
     if len(steps) == 1:
-        # Every variable vanished with 0, as in x * 0 = 0: no case split.
+        # A single case, as for an inverse-free equation: no case split.
         return steps[0].decision
     return Decision(True, RecursionTrace(tuple(steps)))
+
+
+def _guards(
+    pair: tuple[Term, Term], bit: dict[str, int]
+) -> tuple[list[int], list[tuple[tuple[int, ...], Term | None]]]:
+    """The distinct inverted arguments of zero-free ``pair``, as the zero sets where each is 0.
+
+    Whether a zero-free term is 0 depends only on its zero set, and the
+    sets where it is are closed upwards, so the minimal ones describe
+    them: a variable is 0 at its own set, 1 nowhere, a sum where both
+    operands are, a product where either is, and an inverse where its
+    argument is.  The sets are masks of the bits in ``bit``.  Guards with
+    a single minimal set, the common kind, come first as that set; the
+    others as their family, with None for the argument.  A family larger
+    than ``_GUARD_FAMILY_LIMIT`` is cut to the argument's single
+    variables and comes with the argument, since only evaluating it then
+    tells whether it is 0 at a zero set.
+    """
+    exact: dict[tuple[int, ...], None] = {}
+    cut: dict[Term, tuple[int, ...]] = {}
+
+    def visit(node: Term, a=None, b=None):
+        kind = node.__class__
+        if kind is Var:
+            m = bit[node.name]
+            return (m,), m
+        if kind is One:
+            return (), 0
+        if kind is Zero:
+            return (0,), 0
+        if kind is Inv:
+            family, support = a
+            if family is None:
+                cut[node.arg] = tuple(m for m in bit.values() if m & support)
+            else:
+                exact[family] = None
+            return a
+        (fa, sa), (fb, sb) = a, b
+        if fa is None or fb is None:
+            return None, sa | sb
+        if kind is Add:
+            return _minimal({x | y for x in fa for y in fb}), sa | sb
+        return _minimal({*fa, *fb}), sa | sb
+
+    for side in pair:
+        fold(side, visit)
+    single = [family[0] for family in exact if len(family) == 1]
+    families = [(family, None) for family in exact if len(family) > 1]
+    return single, families + [(family, arg) for arg, family in cut.items()]
+
+
+def _minimal(masks: set[int]) -> tuple[int, ...] | None:
+    """The inclusion-minimal ``masks``, fewest bits first; None past ``_GUARD_FAMILY_LIMIT``."""
+    if len(masks) == 1:
+        return tuple(masks)
+    kept: list[int] = []
+    for m in sorted(masks, key=lambda m: (m.bit_count(), m)):
+        if all(k & ~m for k in kept):
+            kept.append(m)
+            if len(kept) > _GUARD_FAMILY_LIMIT:
+                return None
+    return tuple(kept)
 
 
 def _refutation(t: Term, u: Term, variables: list[str], env: dict[str, Fraction]) -> Decision:

@@ -37,6 +37,7 @@ from meadows import (
     power,
     split_inverse,
     substitute,
+    zero_elim,
 )
 from meadows.decide import _value_at
 from meadows.terms import Term
@@ -354,12 +355,11 @@ class TestDecideIamdzGil:
         assert d.verdict
         assert isinstance(d.evidence, RecursionTrace)
         assert all(step.decision.verdict for step in d.evidence.steps)
-        # x = 0, y = 0 reduces to the same 0 = 0 as x = 0 and is not decided again.
-        assert [step.description for step in d.evidence.steps] == [
-            "all variables nonzero",
-            "x = 0",
-            "y = 0",
-        ]
+        # Both inverted arguments vanish exactly when x does, so y = 0 is no
+        # case, and x = 0, y = 0 lies past x = 0, where both sides are 0.
+        cases = [step.description for step in d.evidence.steps]
+        assert cases == ["all variables nonzero", "x = 0"]
+        assert "y = 0" not in cases
 
     def test_one_case_per_zero_set(self, monkeypatch):
         import meadows.decide
@@ -523,6 +523,123 @@ class TestDecideIamdzGil:
         assert (
             decide_iamdz_gil(t, u).verdict == decide_closed(t, u, SignatureId.IAMDZ).verdict
         )
+
+
+def exhaustive_gil(t: Term, u: Term, searched: int) -> tuple[bool, dict | None]:
+    """Reference for ``decide_iamdz_gil``: the 0/1 points of the first
+    ``searched`` zero sets, then a case for every zero set, each decided
+    by ``decide_iamd``.  The verdict and the counterexample's assignment."""
+    names = sorted({*free_vars(t), *free_vars(u)})
+    zero_sets = [z for size in range(len(names) + 1) for z in combinations(names, size)]
+    for zeros in zero_sets[:searched]:
+        env = {v: Fraction(0) if v in zeros else Fraction(1) for v in names}
+        if eval_total(t, env, Carrier.NON_NEGATIVE) != eval_total(u, env, Carrier.NON_NEGATIVE):
+            return False, env
+    for zeros in zero_sets:
+        s, s2 = t, u
+        for v in zeros:
+            s, s2 = substitute(s, v, ZERO), substitute(s2, v, ZERO)
+        s, s2 = zero_elim(s), zero_elim(s2)
+        if s == ZERO and s2 == ZERO:
+            continue
+        if (s == ZERO) != (s2 == ZERO):
+            env = dict.fromkeys(free_vars(s) + free_vars(s2), Fraction(1))
+        else:
+            d = decide_iamd(s, s2)
+            if d.verdict:
+                continue
+            env = d.evidence.assignment
+        return False, {**dict.fromkeys(names, Fraction(0)), **env}
+    return True, None
+
+
+def guarded_pairs(seeds: range):
+    """Seeded iamdz pairs: random ones, s * t * s^-1 against t, and
+    s * s^-1 * t against t * s^-1 * s."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        names = ("w", "x", "y", "z")[: rng.randint(1, 4)]
+        t, u, s = (random_term(rng, SignatureId.IAMDZ, size, names) for size in (12, 12, 6))
+        yield t, u
+        yield Mul(Mul(s, t), Inv(s)), t
+        yield Mul(Mul(s, Inv(s)), t), Mul(Mul(t, Inv(s)), s)
+
+
+class TestGilSplitGuards:
+    """The case split visits only the zero sets at which an inverted argument
+    vanishes, yet decides as if it visited every zero set."""
+
+    # The pre-search cut down to the all-ones point leaves the refutations to
+    # the split; a family cap of 1 cuts every guard of two or more minimal zero
+    # sets to its single variables.
+    @pytest.mark.parametrize(
+        "limits",
+        [{}, {"_ZERO_PATTERN_LIMIT": 0}, {"_ZERO_PATTERN_LIMIT": 0, "_GUARD_FAMILY_LIMIT": 1}],
+    )
+    def test_agrees_with_every_zero_set(self, monkeypatch, limits: dict):
+        import meadows.decide
+
+        for name, value in limits.items():
+            monkeypatch.setattr(meadows.decide, name, value)
+        searched = meadows.decide._ZERO_PATTERN_LIMIT + 1
+        verdicts = []
+        for t, u in guarded_pairs(range(200)):
+            d = decide_iamdz_gil(t, u)
+            verdict, env = exhaustive_gil(t, u, searched)
+            assert d.verdict == verdict, (t, u)
+            if not verdict:
+                assert d.evidence.assignment == env, (t, u)
+            verdicts.append(verdict)
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_every_inverted_argument_is_a_guard(self, monkeypatch):
+        import meadows.decide
+
+        # (1 + x^-1)^-1 has denominator x + 1, which never vanishes, but the
+        # inverted argument x does, and at x = 0 the left side is 1.
+        monkeypatch.setattr(meadows.decide, "_ZERO_PATTERN_LIMIT", 0)
+        lhs = Inv(Add(ONE, Inv(X)))
+        rhs = Mul(X, Inv(Add(X, ONE)))
+        assert decide_iamd(lhs, rhs).verdict
+        d = decide_iamdz_gil(lhs, rhs)
+        assert not d.verdict
+        assert d.evidence.render() == "x = 0  gives  1 != 0"
+
+    def test_inverse_free_identity_is_one_comparison(self, monkeypatch):
+        import meadows.decide
+
+        compared, iamd_calls = [], []
+        zero_free = meadows.decide._decide_zero_free
+        monkeypatch.setattr(
+            meadows.decide,
+            "_decide_zero_free",
+            lambda *args: compared.append(args) or zero_free(*args),
+        )
+        monkeypatch.setattr(
+            meadows.decide, "decide_iamd", lambda *args: iamd_calls.append(args) or decide_iamd(*args)
+        )
+        terms = [Var(f"v{i}") for i in range(10)] + [ONE]
+        lhs = power(reduce(Add, terms), 3)
+        rhs = power(reduce(Add, reversed(terms)), 3)
+        d = decide_iamdz_gil(lhs, rhs)
+        assert d.verdict
+        assert isinstance(d.evidence, MatchedNormals)
+        assert len(compared) == 1 and not iamd_calls
+
+    def test_guard_past_the_family_cap(self, monkeypatch):
+        import meadows.decide
+
+        # x1*y1 + ... + x5*y5 vanishes at 32 minimal zero sets, past the cap,
+        # and first at x1 = ... = x5 = 0, past the 0/1 pre-search.
+        pairs = [Mul(Var(f"x{i}"), Var(f"y{i}")) for i in range(1, 6)]
+        total = reduce(Add, pairs)
+        assert 2 ** len(pairs) > meadows.decide._GUARD_FAMILY_LIMIT
+        t, u = Mul(total, Inv(total)), ONE
+        d = decide_iamdz_gil(t, u)
+        verdict, env = exhaustive_gil(t, u, meadows.decide._ZERO_PATTERN_LIMIT + 1)
+        assert (d.verdict, d.evidence.assignment) == (verdict, env)
+        # x * x^-1 * x = x holds at every zero set.
+        assert decide_iamdz_gil(Mul(t, total), total).verdict
 
 
 class TestDecideClosed:
