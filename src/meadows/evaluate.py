@@ -7,7 +7,8 @@ anywhere, so value equality is decidable and exact.
 One evaluator serves both semantics: ``eval_total`` here and
 ``eval_punched`` in :mod:`meadows.partial` differ only in the value they
 give to ``0^-1`` and ``q / 0``.  It folds the term bottom-up without
-recursion, so terms of any depth evaluate.
+recursion, so terms of any depth evaluate.  ``_evaluate_columns`` is its
+zero-totalized twin over columns of values, for ``check_model``.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ from __future__ import annotations
 import re
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Optional
+from operator import add, mul, neg
+from typing import Mapping, Optional, Sequence
 
 from .exceptions import CarrierViolation, UnboundVariable
-from .terms import Add, Div, Inv, Mul, Neg, SignatureId, Term, Var, Zero, fold
+from .terms import Add, Div, Inv, Mul, Neg, One, SignatureId, Term, Var, Zero, fold
 
 
 class Carrier(Enum):
@@ -127,5 +129,30 @@ def _evaluate(
         if b != 0:
             return a / b
         return _ZERO if punch is None or punch is PunchId.DIV_NONZERO0 and a == 0 else None
+
+    return fold(t, visit)
+
+
+_LIFTED = {Add: add, Mul: mul, Neg: neg}
+
+
+def _evaluate_columns(t: Term, columns: Mapping[str, Sequence], width: int) -> Sequence:
+    """Zero-totalized values of ``t`` at the ``width`` assignments in ``columns``.
+
+    No carrier checks: the caller draws the values from the carrier and
+    rejects the constructors it lacks.
+    """
+
+    def visit(node: Term, *args: Sequence[Fraction]):
+        kind = node.__class__
+        if kind is Var:
+            return columns[node.name]
+        if kind in _LIFTED:
+            return list(map(_LIFTED[kind], *args))
+        if kind is Inv:  # u^-1 is 1 / u
+            args = [_ONE] * width, *args
+        elif kind is not Div:
+            return [_ONE if kind is One else _ZERO] * width
+        return [p / q if q else _ZERO for p, q in zip(*args)]
 
     return fold(t, visit)

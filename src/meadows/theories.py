@@ -11,6 +11,8 @@ condition driving case analysis.
 
 ``check_model`` samples pseudo-random carrier values and tests every
 axiom of a theory against the exact evaluator, as a soundness probe.
+It evaluates each side once per block of samples, drawn law by law,
+sample by sample, variable by variable.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional
+from itertools import repeat
+from typing import Optional
 
-from .evaluate import Carrier, eval_total
+from .evaluate import Carrier, _evaluate_columns, eval_total
 from .exceptions import SignatureMismatch
 from .terms import (
     ONE,
@@ -276,6 +279,9 @@ class ModelReport:
         return [check for check in self.checks if not check.ok]
 
 
+_BLOCK = 64  # samples that check_model draws and evaluates together
+
+
 def check_model(
     id: TheoryId, carrier: Carrier, samples: int = 500, seed: int = 0
 ) -> ModelReport:
@@ -283,8 +289,11 @@ def check_model(
 
     Evaluates both sides of each axiom under `samples` pseudo-random
     assignments of carrier values and records the first disagreement
-    per axiom.  Deterministic given seed.  The conditional law, when
-    present, is only checked on assignments satisfying its guard.
+    per axiom: its first failing draw, with values from ``eval_total``.
+    Deterministic given seed.  Each side is evaluated once per block of
+    `_BLOCK` draws; a failed law's later draws are made, not evaluated.
+    The conditional law's sides are evaluated at every draw, but only
+    draws satisfying its guard count.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -305,14 +314,21 @@ def check_model(
     rng = random.Random(seed)
     checks = []
     for law in laws:
-        witness = None
-        for _ in range(samples):
-            env = {v: _sample_rational(rng, carrier) for v in law.variables}
-            if isinstance(law, ConditionalLaw) and eval_total(law.subject, env, carrier) == 0:
-                continue
-            left = eval_total(law.lhs, env, carrier)
-            right = eval_total(law.rhs, env, carrier)
-            if left != right and witness is None:
-                witness = Witness(env, left, right)
+        names, guarded, witness = law.variables, isinstance(law, ConditionalLaw), None
+        for start in range(0, samples, _BLOCK):
+            width = min(_BLOCK, samples - start)
+            rows = [[_sample_rational(rng, carrier) for _ in names] for _ in range(width)]
+            if witness is not None:
+                continue  # draw on, so that later laws see the same stream
+            columns = dict(zip(names, zip(*rows)))
+            left = _evaluate_columns(law.lhs, columns, width)
+            right = _evaluate_columns(law.rhs, columns, width)
+            guard = _evaluate_columns(law.subject, columns, width) if guarded else repeat(1)
+            for row, p, q, g in zip(rows, left, right, guard):
+                if g and p != q:
+                    env = dict(zip(names, row))
+                    left_value = eval_total(law.lhs, env, carrier)
+                    witness = Witness(env, left_value, eval_total(law.rhs, env, carrier))
+                    break
         checks.append(AxiomCheck(law.label, law.render(), witness is None, witness))
     return ModelReport(id, carrier, samples, seed, tuple(checks))

@@ -1,5 +1,6 @@
 """Tests for the axiom-set catalog and sampled model checking."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,19 +8,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meadows import (
+    ONE,
+    Add,
+    AxiomCheck,
     Carrier,
+    ConditionalLaw,
     Equation,
+    Inv,
+    ModelReport,
+    Mul,
     SignatureId,
     SignatureMismatch,
+    Theory,
     TheoryId,
+    Var,
+    Witness,
     ZERO,
     axioms,
     check_model,
     conditional_law,
     conforms,
+    eval_total,
     free_vars,
     theory,
 )
+from meadows import theories
 
 EXPECTED_SIZES = {
     TheoryId.CR: 8,
@@ -207,3 +220,84 @@ class TestCheckModel:
         for id in TheoryId:
             for eq in axioms(id):
                 assert set(eq.variables) == set(free_vars(eq.lhs)) | set(free_vars(eq.rhs))
+
+
+def reference_check_model(id: TheoryId, carrier: Carrier, samples: int, seed: int) -> ModelReport:
+    """check_model as one loop over samples, each evaluated with eval_total."""
+    th = theories._THEORIES[id]
+    laws = [*th.equations, *([th.conditional] if th.conditional else [])]
+    rng = random.Random(seed)
+    checks = []
+    for law in laws:
+        witness = None
+        for _ in range(samples):
+            env = {v: theories._sample_rational(rng, carrier) for v in law.variables}
+            if isinstance(law, ConditionalLaw) and eval_total(law.subject, env, carrier) == 0:
+                continue
+            left = eval_total(law.lhs, env, carrier)
+            right = eval_total(law.rhs, env, carrier)
+            if left != right and witness is None:
+                witness = Witness(env, left, right)
+        checks.append(AxiomCheck(law.label, law.render(), witness is None, witness))
+    return ModelReport(id, carrier, samples, seed, tuple(checks))
+
+
+def _supported(id: TheoryId, carrier: Carrier) -> bool:
+    try:
+        check_model(id, carrier, samples=1)
+    except SignatureMismatch:
+        return False
+    return True
+
+
+SUPPORTED = [(id, c) for id in TheoryId for c in Carrier if _supported(id, c)]
+
+
+class TestCheckModelByBlocks:
+    """check_model evaluates samples in blocks; its reports are the per-sample loop's."""
+
+    def test_matches_per_sample_reference(self, monkeypatch):
+        assert len(SUPPORTED) > len(TheoryId)
+        cases = [(id, c, n, seed) for seed, (id, c) in enumerate(SUPPORTED) for n in (1, 65)]
+        want = [reference_check_model(*case) for case in cases]
+        assert any(not report.passed for report in want)
+        for block in (theories._BLOCK, 1, 7):
+            monkeypatch.setattr(theories, "_BLOCK", block)
+            assert [check_model(*case) for case in cases] == want, block
+
+    @pytest.mark.parametrize("block", [theories._BLOCK, 1])
+    def test_guarded_and_late_witnesses(self, monkeypatch, block):
+        x, y = Var("x"), Var("y")
+        test_theory = Theory(
+            TheoryId.RATIAZ_GIL,
+            SignatureId.IAMDZ,
+            (
+                Equation(Mul(x, Inv(x)), ONE, "fails-only-at-zero"),
+                Equation(Mul(x, Inv(y)), x, "fails-often"),
+                Equation(Add(x, y), Add(y, x), "holds"),
+            ),
+            ConditionalLaw(x, x, ONE, "guarded"),
+        )
+        monkeypatch.setitem(theories._THEORIES, TheoryId.RATIAZ_GIL, test_theory)
+        monkeypatch.setattr(theories, "_BLOCK", block)
+        carrier, samples, seed = Carrier.NON_NEGATIVE, 20, 25
+        # The seed's stream: the first law first fails at its tenth draw,
+        # and the guarded law's first draw is x = 0, where its sides differ
+        # but its guard is 0.
+        rng = random.Random(seed)
+        draws = [theories._sample_rational(rng, carrier) for _ in range(samples * 6)]
+        assert draws[:samples].index(0) == 9
+        assert draws[5 * samples] == 0
+
+        report = check_model(TheoryId.RATIAZ_GIL, carrier, samples, seed)
+        assert report == reference_check_model(TheoryId.RATIAZ_GIL, carrier, samples, seed)
+        assert [c.ok for c in report.checks] == [False, False, True, False]
+        assert report.checks[0].witness.assignment == {"x": 0}
+        guarded = report.checks[-1].witness
+        assert guarded.assignment["x"] not in (0, 1)
+        laws = [*test_theory.equations, test_theory.conditional]
+        for law, check in zip(laws, report.checks):
+            if check.witness is not None:
+                env = check.witness.assignment
+                assert check.witness.left == eval_total(law.lhs, env, carrier)
+                assert check.witness.right == eval_total(law.rhs, env, carrier)
