@@ -28,7 +28,7 @@ from .exceptions import MeadowError, NotInSignature, SchemaError
 from .normalize import DEFAULT_MAX_MONOMIALS, closed_normal, split_inverse, zero_elim
 from .partial import Defined, PunchId, classify_def, eval_punched
 from .syntax import NumeralStyle, parse, render, term_to_dict
-from .terms import SignatureId, Term, Zero, conforms, is_closed
+from .terms import RESERVED_WORDS, VAR_NAME, SignatureId, Term, Zero, conforms, is_closed
 from .theories import TheoryId
 from .translate import div_to_inv, inv_to_div
 
@@ -71,9 +71,14 @@ def _parse_assignment(text: str, carrier: Carrier) -> dict[str, Fraction]:
         return env
     for piece in text.split(","):
         name, sep, value = piece.partition("=")
+        name = name.strip()
         if not sep:
             raise ValueError(f"bad assignment {piece!r}; expected name=value")
-        env[name.strip()] = parse_rational(value.strip(), carrier)
+        if not VAR_NAME.match(name) or name in RESERVED_WORDS:
+            raise ValueError(f"bad assignment {piece!r}; {name!r} is not a variable name")
+        if name in env:
+            raise ValueError(f"bad assignment {piece!r}; {name} is already assigned")
+        env[name] = parse_rational(value.strip(), carrier)
     return env
 
 

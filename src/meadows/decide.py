@@ -35,11 +35,10 @@ cancelled out are set to 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations, compress, islice
-from typing import Container, Union
+from typing import Container, NamedTuple, Union
 
 from .evaluate import Carrier, eval_total
 from .exceptions import NotInSignature
@@ -74,8 +73,7 @@ _ZERO_PATTERN_LIMIT = 256
 _GUARD_FAMILY_LIMIT = 16
 
 
-@dataclass(frozen=True)
-class MatchedNormals:
+class MatchedNormals(NamedTuple):
     """The two normal forms the procedure compared (equal iff verdict true):
     cross-product polynomials, or the values of closed sides."""
 
@@ -86,8 +84,7 @@ class MatchedNormals:
         return f"{self.lhs}  vs  {self.rhs}"
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     """An assignment on which the two sides evaluate to different rationals."""
 
     assignment: dict[str, Fraction]
@@ -101,14 +98,12 @@ class Counterexample:
         return f"{binds}  gives  {self.lhs_value} != {self.rhs_value}"
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     description: str
     decision: "Decision"
 
 
-@dataclass(frozen=True)
-class RecursionTrace:
+class RecursionTrace(NamedTuple):
     """The true cases of the zero-set split, one per case decided, named
     ``"all variables nonzero"``, ``"x = 0"``, ``"x = 0, y = 0"``, ..."""
 
@@ -121,8 +116,7 @@ class RecursionTrace:
 Evidence = Union[MatchedNormals, Counterexample, RecursionTrace]
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     verdict: bool
     evidence: Evidence
 

@@ -23,11 +23,10 @@ one integer addition (Monagan & Pearce, CASC 2007).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import prod
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .evaluate import Carrier, eval_total
 from .exceptions import ContainsInverse, NotClosed, NotInSignature, SizeLimit
@@ -264,8 +263,7 @@ def _specialize(coeffs: Mapping[Monomial, int], var: str, value: int) -> dict[Mo
     return out
 
 
-@dataclass(frozen=True)
-class PolyFraction:
+class PolyFraction(NamedTuple):
     """Numerator/denominator pair of positive polynomials.
 
     The pair is not reduced to lowest terms: polynomials are expanded as
@@ -275,9 +273,6 @@ class PolyFraction:
 
     numerator: PosPoly
     denominator: PosPoly
-
-    def __iter__(self) -> Iterator[PosPoly]:
-        return iter((self.numerator, self.denominator))
 
     def render(self) -> str:
         return f"({self.numerator.render()}) / ({self.denominator.render()})"

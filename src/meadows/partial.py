@@ -24,24 +24,32 @@ comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 from .evaluate import Carrier, PunchId, _evaluate
 from .exceptions import CarrierViolation, NotInSignature, SignatureMismatch
 from .terms import Add, Inv, Mul, One, SignatureId, Term, conforms, fold
 
 
-@dataclass(frozen=True, slots=True)
-class Defined:
+class Defined(NamedTuple):
     value: Fraction
 
 
-@dataclass(frozen=True, slots=True)
 class Undefined:
-    pass
+    """The value of a term that meets a punched point; every one is equal."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return True if other.__class__ is Undefined else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(Undefined)
+
+    def __repr__(self) -> str:
+        return "Undefined()"
 
 
 UNDEFINED = Undefined()

@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from enum import Enum
-from typing import NoReturn, Optional
+from typing import NamedTuple, NoReturn, Optional
 
 from .exceptions import ParseError, SchemaError
 from .terms import (
@@ -47,8 +46,7 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """1-based start/end positions of a piece of source text."""
 
     start_line: int
@@ -57,15 +55,13 @@ class Span:
     end_column: int
 
 
-@dataclass(frozen=True)
-class ParsedInput:
+class ParsedInput(NamedTuple):
     term: Term
     source: str
     span: Span
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     line: int

@@ -18,11 +18,10 @@ sample by sample, variable by variable.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import repeat
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .evaluate import Carrier, _evaluate_columns, eval_total
 from .exceptions import SignatureMismatch
@@ -45,13 +44,34 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
-class Equation:
-    """An equational axiom lhs = rhs, with a label for reporting."""
+# A law's label is its last field.  tuple.__ne__ does not call __eq__,
+# so both are replaced.
+def _eq_unlabelled(self, other: object) -> bool:
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return self[:-1] == other[:-1]
+
+
+def _ne_unlabelled(self, other: object) -> bool:
+    equal = _eq_unlabelled(self, other)
+    return equal if equal is NotImplemented else not equal
+
+
+def _hash_unlabelled(self) -> int:
+    return hash(self[:-1])
+
+
+class Equation(NamedTuple):
+    """An equational axiom lhs = rhs, with a label for reporting.
+
+    Equality and hashing ignore the label.
+    """
 
     lhs: Term
     rhs: Term
-    label: str = field(default="", compare=False)
+    label: str = ""
+
+    __eq__, __ne__, __hash__ = _eq_unlabelled, _ne_unlabelled, _hash_unlabelled
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -63,14 +83,18 @@ class Equation:
         return f"{render(self.lhs)} = {render(self.rhs)}"
 
 
-@dataclass(frozen=True)
-class ConditionalLaw:
-    """A guarded equation: subject != 0 implies lhs = rhs."""
+class ConditionalLaw(NamedTuple):
+    """A guarded equation: subject != 0 implies lhs = rhs.
+
+    Equality and hashing ignore the label.
+    """
 
     subject: Term
     lhs: Term
     rhs: Term
-    label: str = field(default="", compare=False)
+    label: str = ""
+
+    __eq__, __ne__, __hash__ = _eq_unlabelled, _ne_unlabelled, _hash_unlabelled
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -111,8 +135,7 @@ class TheoryId(Enum):
     RATDAZ_GIL = "ratdaz-gil"
 
 
-@dataclass(frozen=True)
-class Theory:
+class Theory(NamedTuple):
     id: TheoryId
     signature: SignatureId
     equations: tuple[Equation, ...]
@@ -246,8 +269,7 @@ def _sample_rational(rng: random.Random, carrier: Carrier) -> Fraction:
     return value
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """A sampled assignment on which the two sides of an axiom differ."""
 
     assignment: dict[str, Fraction]
@@ -255,16 +277,14 @@ class Witness:
     right: Fraction
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
+class AxiomCheck(NamedTuple):
     label: str
     rendered: str
     ok: bool
     witness: Optional[Witness] = None
 
 
-@dataclass(frozen=True)
-class ModelReport:
+class ModelReport(NamedTuple):
     theory: TheoryId
     carrier: Carrier
     samples: int

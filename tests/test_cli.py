@@ -1,11 +1,15 @@
 """Tests for the command-line interface, driven through main()."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import meadows
 from meadows.cli import EXIT_ERROR, EXIT_FALSE, EXIT_OK, EXIT_UNDEFINED, main
 
 
@@ -180,6 +184,22 @@ class TestEvalCommand:
         assert code == EXIT_ERROR
         assert "expected name=value" in err
 
+    @pytest.mark.parametrize(
+        "assign, complaint",
+        [
+            ("x=1,x=2", "'x=2'; x is already assigned"),
+            ("=1", "'=1'; '' is not a variable name"),
+            ("X=1", "'X=1'; 'X' is not a variable name"),
+            ("x=1,inv=2", "'inv=2'; 'inv' is not a variable name"),
+        ],
+        ids=["repeated", "empty", "upper-case", "reserved"],
+    )
+    def test_bad_assignment_name(self, capsys, assign, complaint):
+        code, out, err = run(capsys, "eval", "x", "--assign", assign)
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err == f"error: bad assignment {complaint}\n"
+
 
 class TestDecideCommand:
     def test_true_verdict(self, capsys):
@@ -343,6 +363,24 @@ class TestEntryPoint:
         )
         assert done.returncode == 0
         assert done.stdout == "5/2\n"
+
+    def test_import_leaves_out_dataclasses_and_inspect(self):
+        src = Path(meadows.__file__).resolve().parent.parent
+        # Only the modules that importing meadows.cli adds, not those of site.
+        child = (
+            "import sys; s = set(sys.modules); import meadows.cli; print(*set(sys.modules) - s)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", child],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        loaded = set(done.stdout.split())
+        assert "meadows.cli" in loaded
+        assert not loaded & {"dataclasses", "inspect"}
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as info:
