@@ -22,9 +22,10 @@ evaluation doubles as an independent oracle for the syntactic procedures.
 
 A false verdict always carries a concrete counterexample assignment.
 Both procedures first evaluate the two sides exactly at 0/1 points (the
-all-ones point, or every zero pattern) and refute at the first point
-that separates them, before normalizing or translating anything; true
-verdicts come only from matched normal forms.  Otherwise the zero-carrying
+all-ones point, or every zero pattern) with the evaluator of
+:mod:`meadows.evaluate`, which also checks the signature, and refute at
+the first point that separates them, before normalizing or translating
+anything; true verdicts come only from matched normal forms.  Otherwise the zero-carrying
 search lifts the counterexample of the first failing case, and the
 zero-free search specializes the two distinct cross-product polynomials
 one variable at a time to small positive integers at which they differ
@@ -38,9 +39,9 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations, compress, islice
-from typing import Container, NamedTuple, Union
+from typing import Callable, Container, NamedTuple, Union
 
-from .evaluate import Carrier, eval_total
+from .evaluate import Carrier, _evaluate, eval_total
 from .exceptions import NotInSignature
 from .normalize import (
     DEFAULT_MAX_MONOMIALS,
@@ -53,9 +54,7 @@ from .normalize import (
 from .terms import (
     ZERO,
     Add,
-    Div,
     Inv,
-    Mul,
     One,
     SignatureId,
     Term,
@@ -154,39 +153,23 @@ def _decide_zero_free(t: Term, u: Term, max_monomials: int) -> Decision:
 
 def _refuted_at_ones(t: Term, u: Term, sig: SignatureId) -> Decision | None:
     """A false verdict when zero-free sides differ at the all-ones point, else None."""
-    (p, q), (r, s) = _value_at(t, (), sig), _value_at(u, (), sig)
+    point, refuse = _zero_one(()), _not_in(sig)
+    p, q, _ = _evaluate(t, point, sig.constructors, refuse)
+    r, s, _ = _evaluate(u, point, sig.constructors, refuse)
     if p * s != r * q:
         ones = dict.fromkeys(sorted({*free_vars(t), *free_vars(u)}), Fraction(1))
         return Decision(False, Counterexample(ones, Fraction(p, q), Fraction(r, s)))
     return None
 
 
-def _value_at(t: Term, zeros: Container[str], sig: SignatureId) -> tuple[int, int]:
-    """The exact value of ``t`` with the variables in ``zeros`` 0 and the rest 1,
-    as an unreduced pair (numerator, denominator > 0); NotInSignature at a
-    constructor outside ``sig``."""
-    allowed = sig.constructors
-    has_zero, has_inv, has_div = Zero in allowed, Inv in allowed, Div in allowed
+def _zero_one(zeros: Container[str]) -> Callable[[str], tuple[int, int]]:
+    """The variable lookup of the point where ``zeros`` are 0 and the rest 1."""
+    return lambda name: (0, 1) if name in zeros else (1, 1)
 
-    def visit(node: Term, a: tuple[int, int] = (1, 1), b: tuple[int, int] = (1, 1)):
-        kind = node.__class__
-        if kind is Add:
-            return a[0] * b[1] + b[0] * a[1], a[1] * b[1]
-        if kind is Mul:
-            return a[0] * b[0], a[1] * b[1]
-        if kind is Inv and has_inv:  # 0^-1 = 0
-            return (a[1], a[0]) if a[0] else (0, 1)
-        if kind is Var:
-            return (0, 1) if node.name in zeros else (1, 1)
-        if kind is One:
-            return 1, 1
-        if kind is Div and has_div:  # q / 0 = 0
-            return (a[0] * b[1], a[1] * b[0]) if b[0] else (0, 1)
-        if kind is Zero and has_zero:
-            return 0, 1
-        raise NotInSignature(f"both sides must conform to the {sig.value} signature")
 
-    return fold(t, visit)
+def _not_in(sig: SignatureId) -> Callable[[type], NotInSignature]:
+    """The error for a constructor outside ``sig``."""
+    return lambda kind: NotInSignature(f"both sides must conform to the {sig.value} signature")
 
 
 def _counterexample(
@@ -234,9 +217,11 @@ def decide_iamdz_gil(t: Term, u: Term, max_monomials: int = DEFAULT_MAX_MONOMIAL
     # separating 0/1 point refutes it outright; searching before the case
     # split also yields the simplest counterexamples first.  The first
     # point, all ones, checks both sides against the signature.
+    allowed, refuse = SignatureId.IAMDZ.constructors, _not_in(SignatureId.IAMDZ)
     for zeros in islice(_zero_sets(variables), _ZERO_PATTERN_LIMIT + 1):
-        p, q = _value_at(t, zeros, SignatureId.IAMDZ)
-        r, s = _value_at(u, zeros, SignatureId.IAMDZ)
+        point = _zero_one(zeros)
+        p, q, _ = _evaluate(t, point, allowed, refuse)
+        r, s, _ = _evaluate(u, point, allowed, refuse)
         if p * s != r * q:
             env = {v: Fraction(0) if v in zeros else Fraction(1) for v in variables}
             return Decision(False, Counterexample(env, Fraction(p, q), Fraction(r, s)))
@@ -298,7 +283,7 @@ def decide_iamdz_gil(t: Term, u: Term, max_monomials: int = DEFAULT_MAX_MONOMIAL
             if arg is None:
                 live = all(map(outside, family))
             else:
-                live = _value_at(arg, zeros, SignatureId.IAMDZ)[0]
+                live = _evaluate(arg, _zero_one(zeros), allowed, refuse)[0]
             if live:  # else the argument is 0 already
                 children += [mask | m for m in family]
         for child in children:

@@ -1,14 +1,16 @@
 """Exact rational evaluation with totalized inverse and division.
 
-The inverse of 0 is 0, and q / 0 is q * (1/0) = 0.  Everything is
-arbitrary-precision ``fractions.Fraction``; no floating point is used
-anywhere, so value equality is decidable and exact.
+The inverse of 0 is 0, and q / 0 is q * (1/0) = 0.  Values are exact
+rationals, never floating point, so value equality is decidable.
 
-One evaluator serves both semantics: ``eval_total`` here and
-``eval_punched`` in :mod:`meadows.partial` differ only in the value they
-give to ``0^-1`` and ``q / 0``.  It folds the term bottom-up without
-recursion, so terms of any depth evaluate.  ``_evaluate_columns`` is its
-zero-totalized twin over columns of values, for ``check_model``.
+One fold, ``_evaluate``, gives the value of a term at a point, without
+recursion and on unreduced integer pairs: no gcd is taken until
+``eval_total`` builds a ``Fraction``.  Each caller gives the variable
+values and the constructors it admits: an environment and a carrier for
+``eval_total`` and ``eval_punched`` (:mod:`meadows.partial`), 0/1 points
+and a signature for the decision procedures.  The fold also says whether
+it met a punched point.  ``_evaluate_columns`` is its zero-totalized
+twin over columns of ``Fraction``s, for ``check_model``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import re
 from enum import Enum
 from fractions import Fraction
 from operator import add, mul, neg
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Container, Mapping, Optional, Sequence
 
 from .exceptions import CarrierViolation, UnboundVariable
 from .terms import Add, Div, Inv, Mul, Neg, One, SignatureId, Term, Var, Zero, fold
@@ -36,6 +38,18 @@ class Carrier(Enum):
         if self is Carrier.NON_NEGATIVE:
             return value >= 0
         return True
+
+    @property
+    def constructors(self) -> frozenset[type]:
+        """The constructors whose values stay in the carrier."""
+        return _CARRIER_CONSTRUCTORS[self]
+
+
+_CARRIER_CONSTRUCTORS = {
+    Carrier.POSITIVE: frozenset({One, Add, Mul, Inv, Div}),
+    Carrier.NON_NEGATIVE: frozenset({Zero, One, Add, Mul, Inv, Div}),
+    Carrier.ALL: frozenset({Zero, One, Add, Mul, Neg, Inv, Div}),
+}
 
 
 class PunchId(Enum):
@@ -82,57 +96,80 @@ def eval_total(t: Term, env: Mapping[str, Fraction], carrier: Carrier = Carrier.
     outside the carrier (the constant 0 over positives, negation outside
     all rationals), and UnboundVariable for uncovered variables.
     """
-    return _evaluate(t, env, carrier, None)
+    p, q, _ = _evaluate(t, _lookup(env, carrier), carrier.constructors, _outside(carrier))
+    return Fraction(p, q)
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+def _lookup(env: Mapping[str, Fraction], carrier: Carrier) -> Callable[[str], tuple[int, int]]:
+    """The value of a variable in ``env`` as a pair, checked against ``carrier``."""
+
+    def value(name: str) -> tuple[int, int]:
+        if name not in env:
+            raise UnboundVariable(f"no value for variable {name}")
+        q = Fraction(env[name])
+        if not carrier.contains(q):
+            raise CarrierViolation(f"{name} = {q} is outside the {carrier.value} carrier")
+        return q.numerator, q.denominator
+
+    return value
+
+
+def _outside(carrier: Carrier) -> Callable[[type], CarrierViolation]:
+    """The error for a constructor outside ``carrier``: 0 over positives, or negation."""
+    return lambda kind: CarrierViolation(
+        "the constant 0 is outside the positive carrier"
+        if kind is Zero
+        else f"negation is not available over the {carrier.value} carrier"
+    )
 
 
 def _evaluate(
-    t: Term, env: Mapping[str, Fraction], carrier: Carrier, punch: Optional[PunchId]
-) -> Optional[Fraction]:
-    """The value of ``t``, where q / 0 (q = 1 for 0^-1) is 0 if ``punch`` is None.
+    t: Term,
+    value: Callable[[str], tuple[int, int]],
+    allowed: Container[type],
+    refuse: Callable[[type], Exception],
+    punch: Optional[PunchId] = None,
+) -> tuple[int, int, bool]:
+    """The value of ``t`` as an unreduced pair (numerator, nonzero denominator),
+    and whether it met a point that ``punch`` leaves undefined.
 
-    Under a punch it is undefined (None) instead, except 0 / 0 = 0 under
-    DIV_NONZERO0.  Undefined swallows every operation above it.
+    ``value(name)`` gives a variable's pair; a constructor outside
+    ``allowed`` raises ``refuse(kind)``.  q / 0 (q = 1 for 0^-1) is 0, and
+    a punched point unless q = 0 under DIV_NONZERO0.  The total value is
+    all the fold computes: below the first punched point it is the
+    punched value, and above it the whole term is undefined.
     """
+    punched = False
+    strict = punch is not PunchId.DIV_NONZERO0  # 0 / 0 is punched too
 
-    def visit(node: Term, a: Optional[Fraction] = _ONE, b: Optional[Fraction] = _ONE):
+    def visit(node: Term, a=(1, 1), b=(1, 1)) -> tuple[int, int]:
+        nonlocal punched
         kind = node.__class__
         if kind is Var:
-            name = node.name
-            try:
-                value = Fraction(env[name])
-            except KeyError:
-                raise UnboundVariable(f"no value for variable {name}") from None
-            if not carrier.contains(value):
-                raise CarrierViolation(f"{name} = {value} is outside the {carrier.value} carrier")
-            return value
-        if kind is Zero:
-            if carrier is Carrier.POSITIVE:
-                raise CarrierViolation("the constant 0 is outside the positive carrier")
-            return _ZERO
-        if kind is Neg and carrier is not Carrier.ALL:
-            raise CarrierViolation(f"negation is not available over the {carrier.value} carrier")
-        if a is None or b is None:
-            return None
+            return value(node.name)
+        if kind not in allowed:
+            raise refuse(kind)
         if kind is Add:
-            return a + b
+            return a[0] * b[1] + b[0] * a[1], a[1] * b[1]
         if kind is Mul:
-            return a * b
-        if kind is Neg:
-            return -a
+            return a[0] * b[0], a[1] * b[1]
         if kind is Inv:  # u^-1 is 1 / u
-            a, b = _ONE, a
-        elif kind is not Div:  # One
-            return _ONE
-        if b != 0:
-            return a / b
-        return _ZERO if punch is None or punch is PunchId.DIV_NONZERO0 and a == 0 else None
+            a, b = (1, 1), a
+        elif kind is Neg:
+            return -a[0], a[1]
+        elif kind is not Div:
+            return (1, 1) if kind is One else (0, 1)
+        if b[0]:
+            return a[0] * b[1], a[1] * b[0]
+        if strict or a[0]:
+            punched = True
+        return (0, 1)
 
-    return fold(t, visit)
+    p, q = fold(t, visit)
+    return p, q, punched
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
 _LIFTED = {Add: add, Mul: mul, Neg: neg}
 
 

@@ -28,7 +28,7 @@ from heapq import heapify, heappop, heappush
 from math import prod
 from typing import Iterator, Mapping, NamedTuple
 
-from .evaluate import Carrier, eval_total
+from .evaluate import eval_total
 from .exceptions import ContainsInverse, NotClosed, NotInSignature, SizeLimit
 from .terms import (
     ZERO,
@@ -426,29 +426,15 @@ def zero_elim(t: Term) -> Term:
     return fold(t, visit)
 
 
-# The carrier a closed term of each signature denotes in: without 0 its
-# values are positive, without negation non-negative.
-_CLOSED_CARRIER = {
-    SignatureId.IAMD: Carrier.POSITIVE,
-    SignatureId.DAMD: Carrier.POSITIVE,
-    SignatureId.IAMDZ: Carrier.NON_NEGATIVE,
-    SignatureId.DAMDZ: Carrier.NON_NEGATIVE,
-    SignatureId.CR: Carrier.ALL,
-    SignatureId.IMD: Carrier.ALL,
-    SignatureId.DMD: Carrier.ALL,
-}
-
-
 def closed_normal(t: Term, sig: SignatureId) -> Fraction:
     """Normal form of a closed term over ``sig``: its exact value.
 
     In the initial algebra of each signature's theory, closed terms are
     provably equal exactly when their values are (Bergstra & Tucker,
-    J. ACM 2007), so the zero-totalized value over the signature's
-    carrier is canonical.
+    J. ACM 2007), so the zero-totalized value is canonical.
     """
     if not conforms(t, sig):
         raise NotInSignature(f"term does not conform to the {sig.value} signature")
     if not is_closed(t):
         raise NotClosed(f"term has free variables: {', '.join(free_vars(t))}")
-    return eval_total(t, {}, _CLOSED_CARRIER[sig])
+    return eval_total(t, {})

@@ -3,9 +3,10 @@
 Punching makes a total algebra partial by declaring an operation
 undefined at chosen points: the inverse at 0, or division by 0 (for
 every numerator, or only for nonzero numerators so that 0 / 0 = 0
-survives).  Undefined propagates strictly through every operation.
-Punched evaluation is the evaluator of :mod:`meadows.evaluate`, which
-maps the punched points to undefined instead of 0.
+survives).  Undefined propagates strictly through every operation,
+so a term is undefined exactly when its evaluation meets a punched
+point.  Punched evaluation is the evaluator of :mod:`meadows.evaluate`,
+which says whether it met one.
 
 For the inverse punch there is a static criterion: the sets Nz
 (syntactically non-zero terms) and Def (syntactically defined terms)
@@ -28,7 +29,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Union
 
-from .evaluate import Carrier, PunchId, _evaluate
+from .evaluate import Carrier, PunchId, _evaluate, _lookup, _outside
 from .exceptions import CarrierViolation, NotInSignature, SignatureMismatch
 from .terms import Add, Inv, Mul, One, SignatureId, Term, conforms, fold
 
@@ -84,8 +85,9 @@ def eval_punched(t: Term, env: Mapping[str, Fraction], punch: PunchId) -> Partia
     for name, value in env.items():
         if value < 0:
             raise CarrierViolation(f"{name} = {value} is negative")
-    value = _evaluate(t, env, Carrier.ALL, punch)
-    return UNDEFINED if value is None else Defined(value)
+    allowed = Carrier.ALL.constructors
+    p, q, punched = _evaluate(t, _lookup(env, Carrier.ALL), allowed, _outside(Carrier.ALL), punch)
+    return UNDEFINED if punched else Defined(Fraction(p, q))
 
 
 def classify_def(t: Term, unguarded_addition: bool = False) -> DefClass:

@@ -33,11 +33,9 @@ from .terms import (
     Inv,
     Mul,
     Neg,
-    One,
     SignatureId,
     Term,
     Var,
-    Zero,
     constructors,
     free_vars,
     power,
@@ -251,15 +249,6 @@ def conditional_law(id: TheoryId) -> Optional[ConditionalLaw]:
     return _THEORIES[id].conditional
 
 
-def _carrier_operations(carrier: Carrier) -> set[type]:
-    ops = {One, Add, Mul, Inv, Div}
-    if carrier is not Carrier.POSITIVE:
-        ops.add(Zero)
-    if carrier is Carrier.ALL:
-        ops.add(Neg)
-    return ops
-
-
 def _sample_rational(rng: random.Random, carrier: Carrier) -> Fraction:
     if carrier is not Carrier.POSITIVE and rng.random() < 0.2:
         return Fraction(0)
@@ -326,7 +315,7 @@ def check_model(
         used |= constructors(law.lhs) | constructors(law.rhs)
     if th.conditional is not None:
         used |= constructors(th.conditional.subject)
-    unsupported = used - _carrier_operations(carrier)
+    unsupported = used - carrier.constructors
     if unsupported:
         names = ", ".join(sorted(op.__name__ for op in unsupported))
         raise SignatureMismatch(f"carrier {carrier.value} does not support: {names}")

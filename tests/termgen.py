@@ -1,4 +1,5 @@
-"""Seeded pseudo-random generation of terms and assignments for tests.
+"""Seeded pseudo-random generation of terms and assignments for tests,
+and a reference evaluator to check the library's evaluator against.
 
 Budget-driven recursive growth; the budget bounds the node count, so
 random_term(rng, sig, n) always satisfies term_size <= n and conforms
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Optional, Sequence
 
 from meadows import (
     ONE,
@@ -20,9 +21,12 @@ from meadows import (
     Inv,
     Mul,
     Neg,
+    One,
+    PunchId,
     SignatureId,
     Term,
     Var,
+    Zero,
 )
 
 
@@ -82,3 +86,36 @@ def random_env(
     rng: random.Random, variables: Sequence[str], carrier: Carrier
 ) -> dict[str, Fraction]:
     return {v: random_rational(rng, carrier) for v in variables}
+
+
+def reference_value(
+    t: Term, env: Mapping[str, Fraction], punch: Optional[PunchId] = None
+) -> Optional[Fraction]:
+    """The value of ``t`` by structural recursion on reduced ``Fraction``s.
+
+    Without a punch, 0^-1 = 0 and q / 0 = 0.  Under a punch those points
+    are None instead (except 0 / 0 under DIV_NONZERO0), and None swallows
+    every operation above it.  No carrier or signature checks: small
+    terms only.
+    """
+    if isinstance(t, Var):
+        return Fraction(env[t.name])
+    if isinstance(t, (Zero, One)):
+        return Fraction(isinstance(t, One))
+    if isinstance(t, (Neg, Inv)):
+        a, b = Fraction(1), reference_value(t.arg, env, punch)
+    else:
+        a, b = reference_value(t.left, env, punch), reference_value(t.right, env, punch)
+    if a is None or b is None:
+        return None
+    if isinstance(t, Neg):
+        return -b
+    if isinstance(t, Add):
+        return a + b
+    if isinstance(t, Mul):
+        return a * b
+    if b:  # Inv or Div
+        return a / b
+    if punch is None or punch is PunchId.DIV_NONZERO0 and a == 0:
+        return Fraction(0)
+    return None

@@ -39,9 +39,9 @@ from meadows import (
     substitute,
     zero_elim,
 )
-from meadows.decide import _value_at
+from meadows.evaluate import _evaluate
 from meadows.terms import Term
-from termgen import random_term
+from termgen import random_term, reference_value
 
 X = Var("x")
 Y = Var("y")
@@ -305,29 +305,54 @@ def test_rejects_foreign_constructors_on_either_side_at_any_depth(
         procedure(*pair)
 
 
-class TestValueAtZeroOnePoints:
-    """The integer fold that refutes before expanding agrees with ``eval_total``."""
+class TestZeroOneRefutations:
+    """Refutations at 0/1 points agree with the reference evaluator."""
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=100, deadline=None)
     def test_all_ones_over_positives(self, seed: int):
+        rng = random.Random(seed)
         for sig in (SignatureId.IAMD, SignatureId.DAMD):
-            t = random_term(random.Random(seed), sig, 14, ("x", "y", "z"))
-            num, den = _value_at(t, (), sig)
-            ones = dict.fromkeys(free_vars(t), Fraction(1))
-            assert Fraction(num, den) == eval_total(t, ones, Carrier.POSITIVE)
+            t, u = (random_term(rng, sig, 14, ("x", "y", "z")) for _ in range(2))
+            if sig is SignatureId.IAMD:
+                d = decide_iamd(t, u)
+            else:
+                d = decide_divisive(t, u, TheoryId.DAMD)
+            ones = dict.fromkeys({*free_vars(t), *free_vars(u)}, Fraction(1))
+            lhs, rhs = reference_value(t, ones), reference_value(u, ones)
+            if lhs != rhs:
+                assert d == Decision(False, Counterexample(ones, lhs, rhs))
+            elif not d.verdict:
+                assert any(v != 1 for v in d.evidence.assignment.values())
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=100, deadline=None)
-    def test_every_zero_pattern_over_non_negatives(self, seed: int):
+    def test_first_separating_zero_pattern(self, seed: int):
+        rng = random.Random(seed)
         for sig in (SignatureId.IAMDZ, SignatureId.DAMDZ):
-            t = random_term(random.Random(seed), sig, 14, ("x", "y", "z"))
-            names = free_vars(t)
-            for size in range(len(names) + 1):
-                for zeros in combinations(names, size):
-                    num, den = _value_at(t, zeros, sig)
-                    env = {v: Fraction(0) if v in zeros else Fraction(1) for v in names}
-                    assert Fraction(num, den) == eval_total(t, env, Carrier.NON_NEGATIVE)
+            t, u = (random_term(rng, sig, 14, ("x", "y", "z")) for _ in range(2))
+            if sig is SignatureId.IAMDZ:
+                d = decide_iamdz_gil(t, u)
+            else:
+                d = decide_divisive(t, u, TheoryId.RATDAZ_GIL)
+            separated = first_separating_zero_pattern(t, u)
+            if separated:
+                assert d == Decision(False, Counterexample(*separated))
+            elif not d.verdict:
+                assert any(v > 1 for v in d.evidence.assignment.values())
+
+
+def first_separating_zero_pattern(t: Term, u: Term):
+    """The first 0/1 point, fewest zeros first, where the reference values of
+    ``t`` and ``u`` differ, with both values; None if there is none."""
+    names = sorted({*free_vars(t), *free_vars(u)})
+    for size in range(len(names) + 1):
+        for zeros in combinations(names, size):
+            env = {v: Fraction(0) if v in zeros else Fraction(1) for v in names}
+            lhs, rhs = reference_value(t, env), reference_value(u, env)
+            if lhs != rhs:
+                return env, lhs, rhs
+    return None
 
 
 class TestDecideIamdzGil:
@@ -394,7 +419,7 @@ class TestDecideIamdzGil:
 
         folds, calls = [], []
         monkeypatch.setattr(
-            meadows.decide, "_value_at", lambda *args: folds.append(args) or _value_at(*args)
+            meadows.decide, "_evaluate", lambda *args: folds.append(args) or _evaluate(*args)
         )
         monkeypatch.setattr(
             meadows.decide, "decide_iamd", lambda *args: calls.append(args) or decide_iamd(*args)
@@ -457,7 +482,7 @@ class TestDecideIamdzGil:
 
         calls = []
         monkeypatch.setattr(
-            meadows.decide, "_value_at", lambda *args: calls.append(args) or _value_at(*args)
+            meadows.decide, "_evaluate", lambda *args: calls.append(args) or _evaluate(*args)
         )
         d = decide_iamdz_gil(Mul(numeral(3), Inv(numeral(2))), Add(ONE, Inv(numeral(2))))
         assert d.verdict
@@ -714,7 +739,7 @@ class TestDecideDivisive:
 
         folds = []
         monkeypatch.setattr(
-            meadows.decide, "_value_at", lambda *args: folds.append(args) or _value_at(*args)
+            meadows.decide, "_evaluate", lambda *args: folds.append(args) or _evaluate(*args)
         )
         assert decide_divisive(Div(Add(X, Y), Add(Y, X)), ONE, TheoryId.DAMD).verdict
         assert len(folds) == 2

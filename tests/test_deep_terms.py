@@ -40,6 +40,7 @@ from meadows import (
     SignatureId,
     SignatureMismatch,
     TheoryId,
+    UNDEFINED,
     Var,
     classify_def,
     closed_normal,
@@ -162,6 +163,18 @@ def test_evaluation(deep):
                 "inv": DefClass.OUTSIDE}
     result = call(classify_def, t)
     assert result == expected[kind] if kind in expected else isinstance(result, NotInSignature)
+
+
+def test_evaluation_with_a_growing_denominator():
+    # Left-nested, the sum is 10^4 fractions deep, and its denominator is
+    # 3^(10^4) until the value is reduced.
+    t = Inv(X)
+    for _ in range(DEPTH - 1):
+        t = Add(t, Inv(X))
+    three = {"x": Fraction(3)}
+    assert eval_total(t, three) == Fraction(DEPTH, 3)
+    assert eval_punched(t, three, PunchId.INV0) == Defined(Fraction(DEPTH, 3))
+    assert eval_punched(t, {"x": Fraction(0)}, PunchId.INV0) is UNDEFINED
 
 
 def test_translation(deep):

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meadows import (
@@ -18,11 +18,13 @@ from meadows import (
     SignatureId,
     UnboundVariable,
     Var,
+    Zero,
     eval_total,
     numeral,
     parse_rational,
 )
-from termgen import random_env, random_term
+from meadows.terms import constructors
+from termgen import random_env, random_term, reference_value
 
 X = Var("x")
 
@@ -108,3 +110,24 @@ def test_results_stay_in_carrier(seed):
     t = random_term(rng, SignatureId.IAMDZ, 18, ("x",))
     env = random_env(rng, ("x",), Carrier.NON_NEGATIVE)
     assert eval_total(t, env, Carrier.NON_NEGATIVE) >= 0
+
+
+# The constructors each carrier refuses, written out apart from the library's table.
+REFUSED = {Carrier.POSITIVE: {Zero, Neg}, Carrier.NON_NEGATIVE: {Neg}, Carrier.ALL: set()}
+
+
+@given(st.integers(min_value=0, max_value=2**31))
+@settings(max_examples=60, deadline=None)
+def test_agrees_with_reference_on_every_signature_and_carrier(seed):
+    rng = random.Random(seed)
+    for sig in SignatureId:
+        t = random_term(rng, sig, 14, ("x", "y", "z"))
+        for carrier in Carrier:
+            env = random_env(rng, ("x", "y", "z"), carrier)
+            if constructors(t) & REFUSED[carrier]:
+                with pytest.raises(CarrierViolation):
+                    eval_total(t, env, carrier)
+            else:
+                value = eval_total(t, env, carrier)
+                assert isinstance(value, Fraction)
+                assert value == reference_value(t, env)

@@ -32,7 +32,7 @@ from meadows import (
     numeral,
 )
 from meadows.terms import Term
-from termgen import random_term
+from termgen import random_term, reference_value
 
 X = Var("x")
 Y = Var("y")
@@ -104,6 +104,17 @@ class TestEvalPunched:
         # The weak punch defines everything the strong one defines.
         if isinstance(strong, Defined):
             assert weak == strong
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=100, deadline=None)
+    def test_agrees_with_strict_reference_under_every_punch(self, seed: int):
+        rng = random.Random(seed)
+        for punch in PunchId:
+            t = random_term(rng, punch.signature, max_size=14, variables=("x", "y"))
+            env = {v: Fraction(rng.randint(0, 2)) for v in ("x", "y")}
+            expected = reference_value(t, env, punch)
+            got = eval_punched(t, env, punch)
+            assert got == (UNDEFINED if expected is None else Defined(expected))
 
 
 class TestClassifyDef:
