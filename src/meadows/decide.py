@@ -13,7 +13,10 @@ x * x^-1 = 1) assumed, every variable is 0 or invertible, so provability
 is decided by cases over the sets of variables set to 0.  The split
 visits only the zero sets at which one more inverted argument vanishes,
 and decides each distinct case once by the zero-free comparison, kept
-as evidence (``decide_iamdz_gil``).
+as evidence (``decide_iamdz_gil``).  Before it splits, it compares the
+sides with each inverse an opaque atom: sides equal as polynomials over
+the variables and atoms are equal by the semiring laws and congruence
+alone (Grégoire & Mahboubi, TPHOLs 2005), with no case to decide.
 
 Divisive equations are decided by translating division away; closed
 terms of any of the seven signatures are decided by comparing their
@@ -42,7 +45,7 @@ from itertools import combinations, compress, islice
 from typing import Callable, Container, NamedTuple, Union
 
 from .evaluate import Carrier, _evaluate, eval_total
-from .exceptions import NotInSignature
+from .exceptions import NotInSignature, SizeLimit
 from .normalize import (
     DEFAULT_MAX_MONOMIALS,
     PosPoly,
@@ -211,6 +214,13 @@ def decide_iamdz_gil(t: Term, u: Term, max_monomials: int = DEFAULT_MAX_MONOMIAL
     decisions as a ``RecursionTrace``, or the decision itself when only
     one case was decided, as for an inverse-free identity; a false one
     carries a counterexample from the first failing case.
+
+    After the 0/1 search, and only if the split would decide more than
+    one case, the zero-eliminated sides are compared with each inverse an
+    opaque atom, named by its inverse text such as ``(x + y)^-1``, one per
+    atom normal form of its argument.  Matched polynomials prove the
+    equation by the semiring laws and congruence, so they are the
+    evidence of a true verdict; otherwise the split decides as before.
     """
     variables = sorted({*free_vars(t), *free_vars(u)})
     # A derivable equation holds at every non-negative point, so any
@@ -242,6 +252,14 @@ def decide_iamdz_gil(t: Term, u: Term, max_monomials: int = DEFAULT_MAX_MONOMIAL
     last_searched = order(sum(map(bit.__getitem__, zeros)))
     root = zero_elim(t), zero_elim(u)
     single, guards = _guards(root, bit)
+    if (single or guards) and ZERO not in root:
+        # Past the bound the split, which expands no atom, may still decide.
+        try:
+            lhs, rhs = _cross_products(*root, max_monomials, opaque=True)
+            if lhs == rhs:
+                return Decision(True, MatchedNormals(lhs, rhs))
+        except SizeLimit:
+            pass
     steps: list[TraceStep] = []
     decided: set[tuple[Term, Term]] = set()
     # Each queued zero set maps to the set that queued it and that set's reduced pair.

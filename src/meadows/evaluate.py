@@ -4,8 +4,9 @@ The inverse of 0 is 0, and q / 0 is q * (1/0) = 0.  Values are exact
 rationals, never floating point, so value equality is decidable.
 
 One fold, ``_evaluate``, gives the value of a term at a point, without
-recursion and on unreduced integer pairs: no gcd is taken until
-``eval_total`` builds a ``Fraction``.  Each caller gives the variable
+recursion and on unreduced integer pairs: a quotient takes a gcd only
+when its denominator passes ``_REDUCE_BITS``, and otherwise none is taken
+until ``eval_total`` builds a ``Fraction``.  Each caller gives the variable
 values and the constructors it admits: an environment and a carrier for
 ``eval_total`` and ``eval_punched`` (:mod:`meadows.partial`), 0/1 points
 and a signature for the decision procedures.  The fold also says whether
@@ -18,6 +19,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 from fractions import Fraction
+from math import gcd
 from operator import add, mul, neg
 from typing import Callable, Container, Mapping, Optional, Sequence
 
@@ -123,6 +125,11 @@ def _outside(carrier: Carrier) -> Callable[[type], CarrierViolation]:
     )
 
 
+# A quotient whose denominator passes this bit length is reduced: nested ones,
+# as in x / (x / (... / x)), otherwise grow a bit per level.
+_REDUCE_BITS = 256
+
+
 def _evaluate(
     t: Term,
     value: Callable[[str], tuple[int, int]],
@@ -160,7 +167,11 @@ def _evaluate(
         elif kind is not Div:
             return (1, 1) if kind is One else (0, 1)
         if b[0]:
-            return a[0] * b[1], a[1] * b[0]
+            p, q = a[0] * b[1], a[1] * b[0]
+            if q.bit_length() > _REDUCE_BITS:
+                g = gcd(p, q)
+                return p // g, q // g
+            return p, q
         if strict or a[0]:
             punched = True
         return (0, 1)

@@ -267,6 +267,33 @@ class TestDecideCommand:
         assert steps[1]["evidence"] == {"kind": "normals", "lhs": "0", "rhs": "0"}
         assert all(step["evidence"]["kind"] == "normals" for step in steps)
 
+    # Equal with each inverse an opaque atom; a variable may be named like
+    # an internal atom, yet the atoms render as the inverses they stand for.
+    ATOM_PAIR = (
+        "(i0_ + y)^-1 * (i0_ * i0_^-1 + y)",
+        "i0_^-1 * i0_ * (y + i0_)^-1 + y * (y + i0_)^-1",
+    )
+    ATOM_NORMAL = "(i0_ + y)^-1*i0_*i0_^-1 + (i0_ + y)^-1*y"
+
+    def test_atom_evidence(self, capsys):
+        code, out, _ = run(capsys, "decide", *self.ATOM_PAIR, "--theory", "ratiaz-gil")
+        assert code == EXIT_OK
+        assert out.splitlines() == [
+            "true",
+            f"matched normals: {self.ATOM_NORMAL}  vs  {self.ATOM_NORMAL}",
+        ]
+
+    def test_structured_atom_evidence(self, capsys):
+        code, out, _ = run(
+            capsys, "decide", *self.ATOM_PAIR, "--theory", "ratiaz-gil", "--format", "structured"
+        )
+        assert code == EXIT_OK
+        evidence = json.loads(out)["evidence"]
+        assert evidence == {"kind": "normals", "lhs": self.ATOM_NORMAL, "rhs": self.ATOM_NORMAL}
+        # The normals parse back to terms over the input's own variables.
+        for side in ("lhs", "rhs"):
+            assert meadows.free_vars(meadows.parse(evidence[side]).term) == ("i0_", "y")
+
     def test_structured_verdict(self, capsys):
         code, out, _ = run(
             capsys, "decide", "x", "y", "--theory", "iamd", "--format", "structured"

@@ -355,6 +355,13 @@ def first_separating_zero_pattern(t: Term, u: Term):
     return None
 
 
+def squares_times_inverse_squares(names: list[str]) -> Term:
+    """The sum of v^2 * (v^-1)^2 over ``names``: equal to the sum of v * v^-1
+    at every zero set, but not with each inverse an opaque atom, so the case
+    split decides it, and needs every zero set to."""
+    return reduce(Add, [Mul(power(Var(v), 2), power(Inv(Var(v)), 2)) for v in names])
+
+
 class TestDecideIamdzGil:
     def test_inverse_law_fails_at_zero(self):
         d = decide_iamdz_gil(Mul(X, Inv(X)), ONE)
@@ -400,7 +407,7 @@ class TestDecideIamdzGil:
         )
         names = [f"v{i}" for i in range(8)]
         lhs = reduce(Add, [Mul(Var(v), Inv(Var(v))) for v in names])
-        rhs = reduce(Add, [Mul(Inv(Var(v)), Var(v)) for v in names])
+        rhs = squares_times_inverse_squares(names)
         d = decide_iamdz_gil(lhs, rhs)
         assert d.verdict
         assert isinstance(d.evidence, RecursionTrace)
@@ -426,7 +433,7 @@ class TestDecideIamdzGil:
         )
         names = [f"v{i}" for i in range(9)]
         lhs = reduce(Add, [Mul(Var(v), Inv(Var(v))) for v in names])
-        rhs = reduce(Add, [Mul(Inv(Var(v)), Var(v)) for v in names])
+        rhs = squares_times_inverse_squares(names)
         assert decide_iamdz_gil(lhs, rhs).verdict
         # The pre-search compares the first 257 of the 512 zero sets.  Of the
         # rest, all but the full set (both sides 0) go through decide_iamd,
@@ -607,6 +614,7 @@ class TestGilSplitGuards:
         for name, value in limits.items():
             monkeypatch.setattr(meadows.decide, name, value)
         searched = meadows.decide._ZERO_PATTERN_LIMIT + 1
+        atom_matches = record_atom_checks(monkeypatch)
         verdicts = []
         for t, u in guarded_pairs(range(200)):
             d = decide_iamdz_gil(t, u)
@@ -616,6 +624,9 @@ class TestGilSplitGuards:
                 assert d.evidence.assignment == env, (t, u)
             verdicts.append(verdict)
         assert 0 < sum(verdicts) < len(verdicts)
+        # The atom check decides 94 of the 600 pairs, so the exhaustive split
+        # is its oracle too.
+        assert sum(atom_matches) >= 80
 
     def test_every_inverted_argument_is_a_guard(self, monkeypatch):
         import meadows.decide
@@ -665,6 +676,84 @@ class TestGilSplitGuards:
         assert (d.verdict, d.evidence.assignment) == (verdict, env)
         # x * x^-1 * x = x holds at every zero set.
         assert decide_iamdz_gil(Mul(t, total), total).verdict
+
+
+def record_atom_checks(monkeypatch) -> list[bool]:
+    """Whether each atom check of ``decide_iamdz_gil`` matched, as it runs."""
+    import meadows.decide
+
+    matches = []
+    cross_products = meadows.decide._cross_products
+
+    def recorded(*args, opaque=False):
+        lhs, rhs = cross_products(*args, opaque=opaque)
+        if opaque:
+            matches.append(lhs == rhs)
+        return lhs, rhs
+
+    monkeypatch.setattr(meadows.decide, "_cross_products", recorded)
+    return matches
+
+
+class TestAtomCheck:
+    """Sides equal with every inverse an opaque atom are true with no case split."""
+
+    def test_decides_the_sum_family_without_a_split(self, monkeypatch):
+        import meadows.decide
+
+        calls = []
+        for name in ("_decide_zero_free", "decide_iamd"):
+            original = getattr(meadows.decide, name)
+            monkeypatch.setattr(
+                meadows.decide, name, lambda *args, f=original: calls.append(args) or f(*args)
+            )
+        names = [f"v{i}" for i in range(12)]
+        lhs = reduce(Add, [Mul(Var(v), Inv(Var(v))) for v in names])
+        rhs = reduce(Add, [Mul(Inv(Var(v)), Var(v)) for v in names])
+        d = decide_iamdz_gil(lhs, rhs)
+        assert d.verdict
+        assert isinstance(d.evidence, MatchedNormals)
+        assert d.evidence.lhs == d.evidence.rhs
+        assert not calls
+        lhs = reduce(Add, [Div(Var(v), Var(v)) for v in names])
+        rhs = reduce(Add, [Mul(Div(ONE, Var(v)), Var(v)) for v in names])
+        assert decide_divisive(lhs, rhs, TheoryId.RATDAZ_GIL) == d
+        assert not calls
+
+    def test_normals_name_each_atom_by_its_inverse(self):
+        lhs = Mul(Inv(Add(X, Y)), Add(Mul(X, Inv(X)), Y))
+        rhs = Add(Mul(Mul(Inv(X), X), Inv(Add(Y, X))), Mul(Y, Inv(Add(Y, X))))
+        d = decide_iamdz_gil(lhs, rhs)
+        assert d.verdict
+        assert isinstance(d.evidence, MatchedNormals)
+        assert d.evidence.render() == (
+            "(x + y)^-1*x*x^-1 + (x + y)^-1*y  vs  (x + y)^-1*x*x^-1 + (x + y)^-1*y"
+        )
+
+    def test_pair_without_a_guard_skips_the_check(self, monkeypatch):
+        atom_matches = record_atom_checks(monkeypatch)
+        s = Add(X, ONE)
+        d = decide_iamdz_gil(Mul(Mul(s, Inv(s)), Y), Y)
+        assert d.verdict
+        assert not atom_matches
+
+    def test_unequal_atoms_leave_the_verdict_to_the_split(self, monkeypatch):
+        atom_matches = record_atom_checks(monkeypatch)
+        d = decide_iamdz_gil(Mul(Mul(X, X), power(Inv(X), 2)), Mul(X, Inv(X)))
+        assert d.verdict
+        assert isinstance(d.evidence, RecursionTrace)
+        assert atom_matches == [False]
+
+    def test_check_past_the_bound_leaves_the_verdict_to_the_split(self):
+        # The atom of ((x + y + z)^10)^-1 expands (x + y + z)^10, 66 monomials,
+        # which the split cancels unexpanded.
+        big = Inv(power(Add(Add(X, Y), Var("z")), 10))
+        lhs, rhs = Mul(big, Mul(X, Inv(X))), Mul(big, Mul(Inv(X), X))
+        with pytest.raises(SizeLimit):
+            split_inverse(power(Add(Add(X, Y), Var("z")), 10), max_monomials=50)
+        d = decide_iamdz_gil(lhs, rhs, max_monomials=50)
+        assert d.verdict
+        assert isinstance(d.evidence, RecursionTrace)
 
 
 class TestDecideClosed:

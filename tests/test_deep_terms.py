@@ -72,6 +72,7 @@ from meadows import (
     zero_elim,
 )
 from meadows.cli import main
+from meadows.evaluate import _REDUCE_BITS, _evaluate
 
 DEPTH = 10**4
 DECIDE_DEPTH = 3000
@@ -175,6 +176,15 @@ def test_evaluation_with_a_growing_denominator():
     assert eval_total(t, three) == Fraction(DEPTH, 3)
     assert eval_punched(t, three, PunchId.INV0) == Defined(Fraction(DEPTH, 3))
     assert eval_punched(t, {"x": Fraction(0)}, PunchId.INV0) is UNDEFINED
+
+
+def test_cancelling_quotients_stay_small():
+    # x / (x / (... / x)) is 2 or 1 at every level, but its unreduced pair
+    # gains a bit per level until a quotient reduces it.
+    t, sig, value = deep_term("div", DEPTH)
+    p, q, _ = _evaluate(t, lambda name: (2, 1), sig.constructors, NotInSignature)
+    assert Fraction(p, q) == value
+    assert max(abs(p), abs(q)).bit_length() <= _REDUCE_BITS + 2
 
 
 def test_translation(deep):
