@@ -6,12 +6,12 @@ rationals, never floating point, so value equality is decidable.
 One fold, ``_evaluate``, gives the value of a term at a point, without
 recursion and on unreduced integer pairs: a quotient takes a gcd only
 when its denominator passes ``_REDUCE_BITS``, and otherwise none is taken
-until ``eval_total`` builds a ``Fraction``.  Each caller gives the variable
+until a caller builds a ``Fraction``.  Each caller gives the variable
 values and the constructors it admits: an environment and a carrier for
-``eval_total`` and ``eval_punched`` (:mod:`meadows.partial`), 0/1 points
-and a signature for the decision procedures.  The fold also says whether
-it met a punched point.  ``_evaluate_columns`` is its zero-totalized
-twin over columns of ``Fraction``s, for ``check_model``.
+``eval_total`` and ``eval_punched`` (:mod:`meadows.partial`), sampled
+pairs and a carrier for ``check_model``, 0/1 points and a signature for
+the decision procedures.  The fold also says whether it met a punched
+point.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ import re
 from enum import Enum
 from fractions import Fraction
 from math import gcd
-from operator import add, mul, neg
-from typing import Callable, Container, Mapping, Optional, Sequence
+from typing import Callable, Container, Mapping, Optional
 
 from .exceptions import CarrierViolation, UnboundVariable
 from .terms import Add, Div, Inv, Mul, Neg, One, SignatureId, Term, Var, Zero, fold
@@ -178,29 +177,3 @@ def _evaluate(
 
     p, q = fold(t, visit)
     return p, q, punched
-
-
-_ZERO, _ONE = Fraction(0), Fraction(1)
-_LIFTED = {Add: add, Mul: mul, Neg: neg}
-
-
-def _evaluate_columns(t: Term, columns: Mapping[str, Sequence], width: int) -> Sequence:
-    """Zero-totalized values of ``t`` at the ``width`` assignments in ``columns``.
-
-    No carrier checks: the caller draws the values from the carrier and
-    rejects the constructors it lacks.
-    """
-
-    def visit(node: Term, *args: Sequence[Fraction]):
-        kind = node.__class__
-        if kind is Var:
-            return columns[node.name]
-        if kind in _LIFTED:
-            return list(map(_LIFTED[kind], *args))
-        if kind is Inv:  # u^-1 is 1 / u
-            args = [_ONE] * width, *args
-        elif kind is not Div:
-            return [_ONE if kind is One else _ZERO] * width
-        return [p / q if q else _ZERO for p, q in zip(*args)]
-
-    return fold(t, visit)

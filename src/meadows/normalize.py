@@ -80,10 +80,10 @@ class PosPoly:
         if not coeffs:
             raise ValueError("a positive polynomial has at least one monomial")
         for mono, coeff in coeffs.items():
-            if coeff < 1:
-                raise ValueError(f"coefficient {coeff} is not positive")
-            if any(exp < 1 for _, exp in mono):
-                raise ValueError(f"zero exponent stored in monomial {mono}")
+            if not isinstance(coeff, int) or coeff < 1:
+                raise ValueError(f"coefficient {coeff} is not a positive integer")
+            if any(not isinstance(exp, int) or exp < 1 for _, exp in mono):
+                raise ValueError(f"exponent in monomial {mono} is not a positive integer")
             if any(a >= b for (a, _), (b, _) in zip(mono, mono[1:])):
                 raise ValueError(f"monomial {mono} is not sorted by variable")
         bound = max((exp for mono in coeffs for _, exp in mono), default=0)

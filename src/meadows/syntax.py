@@ -10,9 +10,11 @@ Grammar, lowest precedence first:
 
 Natural literals expand to structural numerals (0, 1, 1+1, (1+1)+1, ...)
 and "^n" expands through the iterated-product definition of powers, so
-the abstract syntax never stores literals or exponents.  Identifiers
-match [a-z][a-z0-9_]*; "inv" is reserved for the function form of the
-inverse.
+the abstract syntax never stores literals or exponents.  The tree nodes
+that this expansion builds in one input are bounded (``_EXPANSION_BUDGET``,
+nested powers multiplying); past the bound the parser raises ParseError
+at the literal or exponent.  Identifiers match [a-z][a-z0-9_]*; "inv" is
+reserved for the function form of the inverse.
 
 The printer emits minimal parentheses under the same precedence table;
 parsing its output reproduces the term exactly.  By default maximal
@@ -43,6 +45,7 @@ from .terms import (
     fold,
     numeral,
     power,
+    term_size,
 )
 
 
@@ -102,11 +105,17 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+# Tree nodes that numeral and "^n" expansion may build in one parse.  Nested
+# powers multiply: ((x^1000)^1000)^1000 is 22 characters and 2 * 10^9 nodes.
+_EXPANSION_BUDGET = 10**6
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token], source: str):
         self.tokens = tokens
         self.pos = 0
         self.source = source
+        self.budget = _EXPANSION_BUDGET
 
     def peek(self) -> Optional[_Token]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -134,6 +143,28 @@ class _Parser:
             return 1, 1
         last = self.tokens[-1]
         return last.line, last.column + len(last.text)
+
+    def natural(self, base: Optional[Term] = None) -> int:
+        """The natural at the next token: a numeral's value, or ``base``'s exponent.
+
+        Its expansion, 2n tree nodes for a numeral or n * (size(base) + 1) for
+        a power, is taken from the budget; past it, ParseError at the token.
+        """
+        token = self.advance()
+        text = token.text
+        # Eight digits are past the budget whatever the base, and int() refuses
+        # 4,301 of them.
+        if len(text) > 7 and len(text.lstrip("0")) > 7:
+            n = cost = self.budget + 1
+        else:
+            n = int(text)
+            cost = 2 * n if base is None else n and n * (term_size(base) + 1)
+        if cost > self.budget:
+            what = "exponent" if base is not None else "numeral"
+            message = f"{what} expands past {_EXPANSION_BUDGET} tree nodes in one input"
+            raise ParseError(message, token.line, token.column)
+        self.budget -= cost
+        return n
 
     def parse_expr(self) -> Term:
         """Operator-precedence parsing on explicit stacks, so nesting depth is unbounded.
@@ -169,7 +200,7 @@ class _Parser:
             if kind == "ident":
                 operands.append(Var(self.advance().text))
             elif kind == "nat":
-                operands.append(numeral(int(self.advance().text)))
+                operands.append(numeral(self.natural()))
             else:
                 self.fail("expected an expression")
             # Postfix exponents, closing brackets, then an infix operator or the end.
@@ -200,8 +231,7 @@ class _Parser:
             self.advance()
             return Inv(base)
         if token is not None and token.kind == "nat":
-            self.advance()
-            return power(base, int(token.text))
+            return power(base, self.natural(base))
         self.fail("expected -1 or a natural number after '^'")
 
 

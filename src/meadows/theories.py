@@ -11,8 +11,9 @@ condition driving case analysis.
 
 ``check_model`` samples pseudo-random carrier values and tests every
 axiom of a theory against the exact evaluator, as a soundness probe.
-It evaluates each side once per block of samples, drawn law by law,
-sample by sample, variable by variable.
+It draws unreduced integer pairs law by law, sample by sample, variable
+by variable, and evaluates each side at each draw with the fold that
+serves ``eval_total``.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from __future__ import annotations
 import random
 from enum import Enum
 from fractions import Fraction
-from itertools import repeat
 from typing import NamedTuple, Optional
 
-from .evaluate import Carrier, _evaluate_columns, eval_total
+from .evaluate import Carrier, _evaluate, _outside
+from .evaluate import eval_total  # noqa: F401  (bench/tracing.py wraps theories.eval_total)
 from .exceptions import SignatureMismatch
 from .terms import (
     ONE,
@@ -249,13 +250,14 @@ def conditional_law(id: TheoryId) -> Optional[ConditionalLaw]:
     return _THEORIES[id].conditional
 
 
-def _sample_rational(rng: random.Random, carrier: Carrier) -> Fraction:
+def _sample_pair(rng: random.Random, carrier: Carrier) -> tuple[int, int]:
+    """A carrier value as an unreduced pair (numerator, positive denominator)."""
     if carrier is not Carrier.POSITIVE and rng.random() < 0.2:
-        return Fraction(0)
-    value = Fraction(rng.randint(1, 12), rng.randint(1, 12))
+        return 0, 1
+    p, q = rng.randint(1, 12), rng.randint(1, 12)
     if carrier is Carrier.ALL and rng.random() < 0.5:
-        value = -value
-    return value
+        p = -p
+    return p, q
 
 
 class Witness(NamedTuple):
@@ -288,9 +290,6 @@ class ModelReport(NamedTuple):
         return [check for check in self.checks if not check.ok]
 
 
-_BLOCK = 64  # samples that check_model draws and evaluates together
-
-
 def check_model(
     id: TheoryId, carrier: Carrier, samples: int = 500, seed: int = 0
 ) -> ModelReport:
@@ -298,46 +297,39 @@ def check_model(
 
     Evaluates both sides of each axiom under `samples` pseudo-random
     assignments of carrier values and records the first disagreement
-    per axiom: its first failing draw, with values from ``eval_total``.
-    Deterministic given seed.  Each side is evaluated once per block of
-    `_BLOCK` draws; a failed law's later draws are made, not evaluated.
-    The conditional law's sides are evaluated at every draw, but only
-    draws satisfying its guard count.
+    per axiom: its first failing draw and the values there.
+    Deterministic given seed.  A failed law's later draws are still
+    made, so that later laws see the same stream.  The conditional law
+    counts only the draws at which its guard is nonzero.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
     th = _THEORIES[id]
-    used: set[type] = set()
-    laws: list[Equation | ConditionalLaw] = list(th.equations)
-    if th.conditional is not None:
-        laws.append(th.conditional)
-    for law in laws:
-        used |= constructors(law.lhs) | constructors(law.rhs)
-    if th.conditional is not None:
-        used |= constructors(th.conditional.subject)
-    unsupported = used - carrier.constructors
+    laws: list[Equation | ConditionalLaw] = [*th.equations, *filter(None, [th.conditional])]
+    used = set().union(*(constructors(t) for law in laws for t in law[:-1]))  # label last
+    allowed = carrier.constructors
+    unsupported = used - allowed
     if unsupported:
         names = ", ".join(sorted(op.__name__ for op in unsupported))
         raise SignatureMismatch(f"carrier {carrier.value} does not support: {names}")
 
     rng = random.Random(seed)
+    refuse = _outside(carrier)
     checks = []
     for law in laws:
-        names, guarded, witness = law.variables, isinstance(law, ConditionalLaw), None
-        for start in range(0, samples, _BLOCK):
-            width = min(_BLOCK, samples - start)
-            rows = [[_sample_rational(rng, carrier) for _ in names] for _ in range(width)]
+        names, witness = law.variables, None
+        guard = law.subject if isinstance(law, ConditionalLaw) else None
+        for _ in range(samples):
+            point = {name: _sample_pair(rng, carrier) for name in names}
             if witness is not None:
-                continue  # draw on, so that later laws see the same stream
-            columns = dict(zip(names, zip(*rows)))
-            left = _evaluate_columns(law.lhs, columns, width)
-            right = _evaluate_columns(law.rhs, columns, width)
-            guard = _evaluate_columns(law.subject, columns, width) if guarded else repeat(1)
-            for row, p, q, g in zip(rows, left, right, guard):
-                if g and p != q:
-                    env = dict(zip(names, row))
-                    left_value = eval_total(law.lhs, env, carrier)
-                    witness = Witness(env, left_value, eval_total(law.rhs, env, carrier))
-                    break
+                continue
+            value = point.__getitem__
+            if guard is not None and not _evaluate(guard, value, allowed, refuse)[0]:
+                continue
+            p, q, _ = _evaluate(law.lhs, value, allowed, refuse)
+            r, s, _ = _evaluate(law.rhs, value, allowed, refuse)
+            if p * s != r * q:
+                env = {name: Fraction(*pair) for name, pair in point.items()}
+                witness = Witness(env, Fraction(p, q), Fraction(r, s))
         checks.append(AxiomCheck(law.label, law.render(), witness is None, witness))
     return ModelReport(id, carrier, samples, seed, tuple(checks))

@@ -154,6 +154,12 @@ class TestEvalCommand:
         assert code == EXIT_ERROR
         assert "error" in err
 
+    def test_numeral_past_the_parse_budget(self, capsys):
+        code, out, err = run(capsys, "eval", "999999999")
+        assert code == EXIT_ERROR == 2
+        assert out == ""
+        assert "expands past" in err
+
     def test_punched_undefined(self, capsys):
         code, out, _ = run(capsys, "eval", "0^-1", "--punch", "inv0")
         assert code == EXIT_UNDEFINED

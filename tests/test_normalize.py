@@ -67,6 +67,20 @@ class TestPosPoly:
         with pytest.raises(ValueError):
             PosPoly({})
 
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            {(): 1.5, (("x", 1),): 2},
+            {(): Fraction(3, 2)},
+            {(("x", 1.5),): 1},
+            {(("x", 0),): 1},
+            {(("x", Fraction(2)),): 1},
+        ],
+    )
+    def test_rejects_non_integer_or_non_positive_data(self, coeffs):
+        with pytest.raises(ValueError, match="not a positive integer"):
+            PosPoly(coeffs)
+
     def test_add_merges_coefficients(self):
         p = PosPoly.variable("x") + PosPoly.variable("x")
         assert p == PosPoly({(("x", 1),): 2})

@@ -141,6 +141,25 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse("x^y")
 
+    @pytest.mark.parametrize(
+        "text, column",
+        [("((x^100)^100)^100", 15), ("((x^1000)^1000)^1000", 11), ("999999999", 1), ("9" * 5000, 1)],
+    )
+    def test_expansion_past_the_budget(self, text: str, column: int):
+        # Powers share their base, so these build few objects; their trees
+        # have 2 * 10^6 to 2 * 10^9 nodes, and the numerals 10^9 or more.
+        with pytest.raises(ParseError, match="expands past") as info:
+            parse(text)
+        assert (info.value.line, info.value.column) == (1, column)
+
+    def test_expansion_budget_is_per_input(self):
+        # x^499 takes 998 nodes, its 999th power 999 * 1000, and each 1 two.
+        assert parse("(x^499)^999 + 1").term == Add(power(power(Var("x"), 499), 999), ONE)
+        with pytest.raises(ParseError) as info:
+            parse("(x^499)^999 + 1 + 1")
+        assert info.value.column == 19
+        assert parse_term("x^0000002") == power(Var("x"), 2)
+
 
 class TestRender:
     def test_numeral_collapsing_modes(self):

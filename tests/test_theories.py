@@ -19,6 +19,7 @@ from meadows import (
     Mul,
     SignatureId,
     SignatureMismatch,
+    Term,
     Theory,
     TheoryId,
     Var,
@@ -33,6 +34,7 @@ from meadows import (
     theory,
 )
 from meadows import theories
+from termgen import random_term, reference_value
 
 EXPECTED_SIZES = {
     TheoryId.CR: 8,
@@ -222,8 +224,18 @@ class TestCheckModel:
                 assert set(eq.variables) == set(free_vars(eq.lhs)) | set(free_vars(eq.rhs))
 
 
+def reference_draw(rng: random.Random, carrier: Carrier) -> Fraction:
+    """One sampled carrier value as a Fraction, with check_model's calls on ``rng``."""
+    if carrier is not Carrier.POSITIVE and rng.random() < 0.2:
+        return Fraction(0)
+    value = Fraction(rng.randint(1, 12), rng.randint(1, 12))
+    if carrier is Carrier.ALL and rng.random() < 0.5:
+        value = -value
+    return value
+
+
 def reference_check_model(id: TheoryId, carrier: Carrier, samples: int, seed: int) -> ModelReport:
-    """check_model as one loop over samples, each evaluated with eval_total."""
+    """check_model as one loop over samples, each evaluated by the recursive reference."""
     th = theories._THEORIES[id]
     laws = [*th.equations, *([th.conditional] if th.conditional else [])]
     rng = random.Random(seed)
@@ -231,11 +243,10 @@ def reference_check_model(id: TheoryId, carrier: Carrier, samples: int, seed: in
     for law in laws:
         witness = None
         for _ in range(samples):
-            env = {v: theories._sample_rational(rng, carrier) for v in law.variables}
-            if isinstance(law, ConditionalLaw) and eval_total(law.subject, env, carrier) == 0:
+            env = {v: reference_draw(rng, carrier) for v in law.variables}
+            if isinstance(law, ConditionalLaw) and reference_value(law.subject, env) == 0:
                 continue
-            left = eval_total(law.lhs, env, carrier)
-            right = eval_total(law.rhs, env, carrier)
+            left, right = reference_value(law.lhs, env), reference_value(law.rhs, env)
             if left != right and witness is None:
                 witness = Witness(env, left, right)
         checks.append(AxiomCheck(law.label, law.render(), witness is None, witness))
@@ -251,22 +262,57 @@ def _supported(id: TheoryId, carrier: Carrier) -> bool:
 
 
 SUPPORTED = [(id, c) for id in TheoryId for c in Carrier if _supported(id, c)]
+SIGNATURE_CARRIERS = [
+    (sig, c) for sig in SignatureId for c in Carrier if sig.constructors <= c.constructors
+]
 
 
-class TestCheckModelByBlocks:
-    """check_model evaluates samples in blocks; its reports are the per-sample loop's."""
+def random_theory(rng: random.Random, sig: SignatureId) -> Theory:
+    """Random laws over ``sig``: false ones, and ones that hold by symmetry, maybe guarded."""
 
-    def test_matches_per_sample_reference(self, monkeypatch):
+    def term() -> Term:
+        return random_term(rng, sig, 9, ("x", "y", "z"))
+
+    equations = []
+    for i in range(rng.randint(1, 4)):
+        t, u = term(), term()
+        pair = rng.choice([(t, u), (t, t), (Add(t, u), Add(u, t)), (Mul(t, u), Mul(u, t))])
+        equations.append(Equation(*pair, f"law-{i}"))
+    guarded = ConditionalLaw(term(), term(), term(), "guarded") if rng.random() < 0.5 else None
+    return Theory(TheoryId.CR, sig, tuple(equations), guarded)
+
+
+class TestCheckModelReference:
+    """check_model's reports are those of a per-sample loop over Fraction draws."""
+
+    @pytest.mark.parametrize("carrier", list(Carrier))
+    def test_pair_draw_is_the_fraction_draw(self, carrier):
+        mine, theirs = random.Random(17), random.Random(17)
+        pairs = [theories._sample_pair(mine, carrier) for _ in range(3000)]
+        assert [Fraction(*pair) for pair in pairs] == [
+            reference_draw(theirs, carrier) for _ in range(3000)
+        ]
+        assert all(q > 0 for _, q in pairs)
+        assert mine.getstate() == theirs.getstate()
+
+    def test_matches_per_sample_reference(self):
         assert len(SUPPORTED) > len(TheoryId)
-        cases = [(id, c, n, seed) for seed, (id, c) in enumerate(SUPPORTED) for n in (1, 65)]
+        cases = [(id, c, n, seed) for seed, (id, c) in enumerate(SUPPORTED) for n in (1, 7, 65)]
         want = [reference_check_model(*case) for case in cases]
         assert any(not report.passed for report in want)
-        for block in (theories._BLOCK, 1, 7):
-            monkeypatch.setattr(theories, "_BLOCK", block)
-            assert [check_model(*case) for case in cases] == want, block
+        assert [repr(check_model(*case)) for case in cases] == list(map(repr, want))
 
-    @pytest.mark.parametrize("block", [theories._BLOCK, 1])
-    def test_guarded_and_late_witnesses(self, monkeypatch, block):
+    @given(st.integers(0, 2**32), st.sampled_from(SIGNATURE_CARRIERS), st.integers(1, 30))
+    @settings(max_examples=60, deadline=None)
+    def test_random_laws_match_reference(self, seed: int, sig_carrier: tuple, samples: int):
+        sig, carrier = sig_carrier
+        test_theory = random_theory(random.Random(seed), sig)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(theories._THEORIES, TheoryId.CR, test_theory)
+            report = check_model(TheoryId.CR, carrier, samples, seed)
+            assert repr(report) == repr(reference_check_model(TheoryId.CR, carrier, samples, seed))
+
+    def test_guarded_and_late_witnesses(self, monkeypatch):
         x, y = Var("x"), Var("y")
         test_theory = Theory(
             TheoryId.RATIAZ_GIL,
@@ -279,13 +325,12 @@ class TestCheckModelByBlocks:
             ConditionalLaw(x, x, ONE, "guarded"),
         )
         monkeypatch.setitem(theories._THEORIES, TheoryId.RATIAZ_GIL, test_theory)
-        monkeypatch.setattr(theories, "_BLOCK", block)
         carrier, samples, seed = Carrier.NON_NEGATIVE, 20, 25
         # The seed's stream: the first law first fails at its tenth draw,
         # and the guarded law's first draw is x = 0, where its sides differ
         # but its guard is 0.
         rng = random.Random(seed)
-        draws = [theories._sample_rational(rng, carrier) for _ in range(samples * 6)]
+        draws = [reference_draw(rng, carrier) for _ in range(samples * 6)]
         assert draws[:samples].index(0) == 9
         assert draws[5 * samples] == 0
 
