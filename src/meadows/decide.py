@@ -11,12 +11,14 @@ is exact because positive polynomials are nonzero.
 With 0 in the signature and the general inverse law (x != 0 implies
 x * x^-1 = 1) assumed, every variable is 0 or invertible, so provability
 is decided by cases over the sets of variables set to 0.  The split
-visits only the zero sets at which one more inverted argument vanishes,
-and decides each distinct case once by the zero-free comparison, kept
-as evidence (``decide_iamdz_gil``).  Before it splits, it compares the
-sides with each inverse an opaque atom: sides equal as polynomials over
-the variables and atoms are equal by the semiring laws and congruence
-alone (Grégoire & Mahboubi, TPHOLs 2005), with no case to decide.
+visits only the zero sets at which one more inverted argument of a
+visited case vanishes, builds each case's sides from that case's in one
+restriction fold, and decides each distinct case once by the zero-free
+comparison, kept as evidence (``decide_iamdz_gil``).  Before it splits,
+it compares the sides with each inverse an opaque atom: sides equal as
+polynomials over the variables and atoms are equal by the semiring laws
+and congruence alone (Grégoire & Mahboubi, TPHOLs 2005), with no case to
+decide.
 
 Divisive equations are decided by translating division away; closed
 terms of any of the seven signatures are decided by comparing their
@@ -50,6 +52,7 @@ from .normalize import (
     DEFAULT_MAX_MONOMIALS,
     PosPoly,
     _cross_products,
+    _restrict,
     closed_normal,
     split_inverse,  # noqa: F401  (bench/tracing.py wraps decide.split_inverse)
     zero_elim,
@@ -66,7 +69,7 @@ from .terms import (
     conforms,
     fold,
     free_vars,
-    substitute,
+    substitute,  # noqa: F401  (bench/tracing.py wraps decide.substitute)
 )
 from .theories import TheoryId
 from .translate import div_to_inv
@@ -201,19 +204,20 @@ def decide_iamdz_gil(t: Term, u: Term, max_monomials: int = DEFAULT_MAX_MONOMIAL
     for every inverted argument, not only the final denominator:
     ``(1 + x^-1)^-1`` has denominator ``x + 1``, yet is 1 at x = 0.  So
     the split starts from the empty zero set and queues, after each case
-    C, the sets C ∪ T for every minimal zero set T of an argument still
-    nonzero at C (``_guards``), visiting them smallest first in the order
-    of ``_zero_sets``; a refutation still comes from the first failing
-    zero set in that order.  Since elimination commutes with setting
-    variables to 0, the reduced pair of a queued set is that of the case
-    which queued it, with the new variables substituted by 0 and
-    eliminated.  A pair not met before is decided once: both sides 0 is
-    true, and stays so at every larger zero set; exactly one side 0 is
-    false (a zero-free term is positive at the all-ones point); otherwise
-    the zero-free comparison decides.  A true verdict carries these case
-    decisions as a ``RecursionTrace``, or the decision itself when only
-    one case was decided, as for an inverse-free identity; a false one
-    carries a counterexample from the first failing case.
+    C, the sets C ∪ T for every minimal zero set T of an inverted argument
+    in C's reduced pair (``_guards``); elimination turns 0^-1 into 0, so
+    each such argument is nonzero at C.  It visits them smallest first in
+    the order of ``_zero_sets``, so a refutation still comes from the
+    first failing zero set in that order.  The reduced pair of a queued
+    set is that of the case which queued it, restricted by one fold per
+    side to the new variables at 0 (``_restrict``).  A pair not met before
+    is decided once: both sides 0 is true, and stays so at every larger
+    zero set; exactly one side 0 is false (a zero-free term is positive
+    at the all-ones point); otherwise the zero-free comparison decides.
+    A true verdict carries these case decisions as a ``RecursionTrace``,
+    or the decision itself when only one case was decided, as for an
+    inverse-free identity; a false one carries a counterexample from the
+    first failing case.
 
     After the 0/1 search, and only if the split would decide more than
     one case, the zero-eliminated sides are compared with each inverse an
@@ -251,8 +255,8 @@ def decide_iamdz_gil(t: Term, u: Term, max_monomials: int = DEFAULT_MAX_MONOMIAL
 
     last_searched = order(sum(map(bit.__getitem__, zeros)))
     root = zero_elim(t), zero_elim(u)
-    single, guards = _guards(root, bit)
-    if (single or guards) and ZERO not in root:
+    root_guards = set() if ZERO in root else _guards(root, bit)
+    if root_guards:
         # Past the bound the split, which expands no atom, may still decide.
         try:
             lhs, rhs = _cross_products(*root, max_monomials, opaque=True)
@@ -261,22 +265,22 @@ def decide_iamdz_gil(t: Term, u: Term, max_monomials: int = DEFAULT_MAX_MONOMIAL
         except SizeLimit:
             pass
     steps: list[TraceStep] = []
-    decided: set[tuple[Term, Term]] = set()
-    # Each queued zero set maps to the set that queued it and that set's reduced pair.
-    queued = {0: (0, root)}
+    # Each decided pair maps to its guards: the zero sets its children add to its own.
+    decided: dict[tuple[Term, Term], set[int]] = {}
+    # Each queued zero set maps to the reduced pair of the case that queued
+    # it and the zero set it adds to that case's.
+    queued = {0: (root, 0)}
     heap = [order(0)]
     while heap:
         key = heappop(heap)
         mask = full & ~key
-        zeros = tuple(compress(variables, map(mask.__and__, bits)))
-        parent, (ps, ps2) = queued[mask]
-        s, s2 = ps, ps2
-        for var in compress(variables, map((mask & ~parent).__and__, bits)):
-            s, s2 = substitute(s, var, ZERO), substitute(s2, var, ZERO)
-        if s is not ps or s2 is not ps2:
-            s, s2 = zero_elim(s), zero_elim(s2)
-        if (s, s2) not in decided:
-            decided.add((s, s2))
+        pair, added = queued[mask]
+        if added:
+            new = set(compress(variables, map(added.__and__, bits)))
+            pair = _restrict(pair[0], new), _restrict(pair[1], new)
+        guards = decided.get(pair)
+        if guards is None:
+            s, s2 = pair
             if isinstance(s, Zero) != isinstance(s2, Zero):
                 # One side is derivably 0, the other is zero-free and therefore
                 # strictly positive at the all-ones assignment.
@@ -284,6 +288,7 @@ def decide_iamdz_gil(t: Term, u: Term, max_monomials: int = DEFAULT_MAX_MONOMIAL
                 return _refutation(t, u, variables, ones)
             if isinstance(s, Zero):
                 decision = Decision(True, MatchedNormals(Fraction(0), Fraction(0)))
+                guards = set()  # both sides stay 0 at every larger zero set
             else:
                 # The pre-search already compared the first zero sets' sides at all-ones.
                 decide = _decide_zero_free if key <= last_searched else decide_iamd
@@ -291,22 +296,15 @@ def decide_iamdz_gil(t: Term, u: Term, max_monomials: int = DEFAULT_MAX_MONOMIAL
                 if not decision.verdict:
                     assert isinstance(decision.evidence, Counterexample)
                     return _refutation(t, u, variables, decision.evidence.assignment)
+                guards = _guards(pair, bit) if mask else root_guards
+            decided[pair] = guards
+            zeros = compress(variables, map(mask.__and__, bits))
             case = ", ".join(f"{var} = 0" for var in zeros) or "all variables nonzero"
             steps.append(TraceStep(case, decision))
-        if isinstance(s, Zero):
-            continue  # both sides stay 0 at every larger zero set
-        children = [mask | m for m in single if m & ~mask]
-        outside = (~mask).__and__  # the part of a zero set outside this one
-        for family, arg in guards:
-            if arg is None:
-                live = all(map(outside, family))
-            else:
-                live = _evaluate(arg, _zero_one(zeros), allowed, refuse)[0]
-            if live:  # else the argument is 0 already
-                children += [mask | m for m in family]
-        for child in children:
+        for m in guards:
+            child = mask | m
             if child not in queued:
-                queued[child] = mask, (s, s2)
+                queued[child] = pair, m
                 heappush(heap, order(child))
     if len(steps) == 1:
         # A single case, as for an inverse-free equation: no case split.
@@ -314,24 +312,18 @@ def decide_iamdz_gil(t: Term, u: Term, max_monomials: int = DEFAULT_MAX_MONOMIAL
     return Decision(True, RecursionTrace(tuple(steps)))
 
 
-def _guards(
-    pair: tuple[Term, Term], bit: dict[str, int]
-) -> tuple[list[int], list[tuple[tuple[int, ...], Term | None]]]:
-    """The distinct inverted arguments of zero-free ``pair``, as the zero sets where each is 0.
+def _guards(pair: tuple[Term, Term], bit: dict[str, int]) -> set[int]:
+    """The minimal zero sets of the inverted arguments of zero-free ``pair``, as masks.
 
     Whether a zero-free term is 0 depends only on its zero set, and the
     sets where it is are closed upwards, so the minimal ones describe
     them: a variable is 0 at its own set, 1 nowhere, a sum where both
     operands are, a product where either is, and an inverse where its
-    argument is.  The sets are masks of the bits in ``bit``.  Guards with
-    a single minimal set, the common kind, come first as that set; the
-    others as their family, with None for the argument.  A family larger
-    than ``_GUARD_FAMILY_LIMIT`` is cut to the argument's single
-    variables and comes with the argument, since only evaluating it then
-    tells whether it is 0 at a zero set.
+    argument is.  The sets are masks of the bits in ``bit``.  An argument
+    with more than ``_GUARD_FAMILY_LIMIT`` minimal sets gives its single
+    variables instead, one of which lies in each of them.
     """
-    exact: dict[tuple[int, ...], None] = {}
-    cut: dict[Term, tuple[int, ...]] = {}
+    guards: set[int] = set()
 
     def visit(node: Term, a=None, b=None):
         kind = node.__class__
@@ -340,14 +332,11 @@ def _guards(
             return (m,), m
         if kind is One:
             return (), 0
-        if kind is Zero:
-            return (0,), 0
         if kind is Inv:
             family, support = a
             if family is None:
-                cut[node.arg] = tuple(m for m in bit.values() if m & support)
-            else:
-                exact[family] = None
+                family = [m for m in bit.values() if m & support]
+            guards.update(family)
             return a
         (fa, sa), (fb, sb) = a, b
         if fa is None or fb is None:
@@ -358,9 +347,7 @@ def _guards(
 
     for side in pair:
         fold(side, visit)
-    single = [family[0] for family in exact if len(family) == 1]
-    families = [(family, None) for family in exact if len(family) > 1]
-    return single, families + [(family, arg) for arg, family in cut.items()]
+    return guards
 
 
 def _minimal(masks: set[int]) -> tuple[int, ...] | None:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import prod
-from typing import Iterator, Mapping, NamedTuple
+from typing import Container, Iterator, Mapping, NamedTuple
 
 from .evaluate import eval_total
 from .exceptions import ContainsInverse, NotClosed, NotInSignature, SizeLimit
@@ -423,15 +423,24 @@ def zero_elim(t: Term) -> Term:
     """Eliminate the constant 0 from a term over {0, 1, +, *, ^-1}.
 
     Rewrites bottom-up with 0 + u = u, u + 0 = u, 0 * u = 0, u * 0 = 0
-    and 0^-1 = 0.  The result is either the constant 0 (the term is
-    provably 0) or a term with no 0 left, and is provably equal to ``t``.
+    and 0^-1 = 0, as ``_restrict`` with no variable at 0.  The result is
+    0 (``t`` is provably 0) or a term with no 0, provably equal to ``t``.
     """
     if not conforms(t, SignatureId.IAMDZ):
         raise NotInSignature("zero elimination applies to iamdz terms")
+    return _restrict(t, ())
+
+
+def _restrict(t: Term, zeros: Container[str]) -> Term:
+    """``zero_elim`` of iamdz ``t``, unchecked, with the variables in ``zeros`` at 0.
+
+    The rules apply at each node as the fold rebuilds it, so substituting
+    and eliminating take one traversal (Bryant's Restrict, IEEE TC 1986).
+    """
 
     def visit(node: Term, *children: Term) -> Term:
         if not children:
-            return node
+            return ZERO if node.__class__ is Var and node.name in zeros else node
         first, last = children[0].__class__ is Zero, children[-1].__class__ is Zero
         if node.__class__ is Add and (first or last):
             return children[1] if first else children[0]

@@ -45,7 +45,6 @@ from .terms import (
     fold,
     numeral,
     power,
-    term_size,
 )
 
 
@@ -144,10 +143,10 @@ class _Parser:
         last = self.tokens[-1]
         return last.line, last.column + len(last.text)
 
-    def natural(self, base: Optional[Term] = None) -> int:
-        """The natural at the next token: a numeral's value, or ``base``'s exponent.
+    def natural(self, base_size: Optional[int] = None) -> int:
+        """The natural at the next token: a numeral's value, or an exponent.
 
-        Its expansion, 2n tree nodes for a numeral or n * (size(base) + 1) for
+        Its expansion, 2n tree nodes for a numeral or n * (base_size + 1) for
         a power, is taken from the budget; past it, ParseError at the token.
         """
         token = self.advance()
@@ -158,9 +157,9 @@ class _Parser:
             n = cost = self.budget + 1
         else:
             n = int(text)
-            cost = 2 * n if base is None else n and n * (term_size(base) + 1)
+            cost = 2 * n if base_size is None else n * (base_size + 1)
         if cost > self.budget:
-            what = "exponent" if base is not None else "numeral"
+            what = "exponent" if base_size is not None else "numeral"
             message = f"{what} expands past {_EXPANSION_BUDGET} tree nodes in one input"
             raise ParseError(message, token.line, token.column)
         self.budget -= cost
@@ -170,19 +169,20 @@ class _Parser:
         """Operator-precedence parsing on explicit stacks, so nesting depth is unbounded.
 
         ``pending`` holds open brackets ("(" or "inv"), which stop
-        reductions, and operators not yet applied.
+        reductions, and operators not yet applied.  Each operand is kept
+        with its tree size, which prices the powers of it.
         """
-        operands: list[Term] = []
+        operands: list[tuple[Term, int]] = []
         pending: list[str] = []
 
         def reduce(precedence: int) -> None:
             while pending and _BINDING.get(pending[-1], 0) >= precedence:
-                op = pending.pop()
+                op, (arg, size) = pending.pop(), operands.pop()
                 if op == "neg":
-                    operands[-1] = Neg(operands[-1])
+                    operands.append((Neg(arg), size + 1))
                 else:
-                    right = operands.pop()
-                    operands[-1] = _INFIX[op](operands[-1], right)
+                    left, left_size = operands.pop()
+                    operands.append((_INFIX[op](left, arg), left_size + size + 1))
 
         while True:
             # An operand: prefix operators and opening brackets, then an atom.
@@ -198,30 +198,32 @@ class _Parser:
                 pending.append("inv")
                 continue
             if kind == "ident":
-                operands.append(Var(self.advance().text))
+                operands.append((Var(self.advance().text), 1))
             elif kind == "nat":
-                operands.append(numeral(self.natural()))
+                n = self.natural()
+                operands.append((numeral(n), max(2 * n - 1, 1)))
             else:
                 self.fail("expected an expression")
             # Postfix exponents, closing brackets, then an infix operator or the end.
             while True:
                 while (token := self.peek()) is not None and token.kind == "^":
                     self.advance()
-                    operands[-1] = self.parse_exponent(operands[-1])
+                    operands.append(self.parse_exponent(*operands.pop()))
                 if token is not None and token.kind in _INFIX:
                     reduce(_BINDING[token.kind])
                     pending.append(self.advance().kind)
                     break
                 reduce(1)
                 if not pending:
-                    return operands[0]
+                    return operands[0][0]
                 if token is None or token.kind != ")":
                     self.fail("expected ')'")
                 self.advance()
                 if pending.pop() == "inv":
-                    operands[-1] = Inv(operands[-1])
+                    arg, size = operands.pop()
+                    operands.append((Inv(arg), size + 1))
 
-    def parse_exponent(self, base: Term) -> Term:
+    def parse_exponent(self, base: Term, size: int) -> tuple[Term, int]:
         token = self.peek()
         if token is not None and token.kind == "-":
             self.advance()
@@ -229,9 +231,10 @@ class _Parser:
             if digits is None or digits.kind != "nat" or digits.text != "1":
                 self.fail("expected 1 after '^-' (only ^-1 is an inverse)")
             self.advance()
-            return Inv(base)
+            return Inv(base), size + 1
         if token is not None and token.kind == "nat":
-            return power(base, self.natural(base))
+            n = self.natural(size)
+            return power(base, n), 1 + n * (size + 1)
         self.fail("expected -1 or a natural number after '^'")
 
 

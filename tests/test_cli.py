@@ -1,13 +1,17 @@
 """Tests for the command-line interface, driven through main()."""
 
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import meadows
 from meadows.cli import EXIT_ERROR, EXIT_FALSE, EXIT_OK, EXIT_UNDEFINED, main
@@ -385,6 +389,70 @@ def test_monomial_bound_below_one_is_usage_error(argv, capsys):
         main(argv)
     assert info.value.code == 2
     assert "not a positive integer" in capsys.readouterr().err
+
+
+# Raw text mostly stops at the tokenizer.  Token-shaped text joins pieces of
+# the grammar, with or without spaces, and reaches the parser; well-formed
+# text reaches the commands.  Three variable letters keep the GIL split small.
+_TOKENS = [
+    "x", "y", "z", "inv", "0", "1", "2", "10", "+", "*", "/", "-", "^", "^-1", "^2", "(", ")",
+]
+_WELL_FORMED = st.recursive(
+    st.sampled_from(["x", "y", "z", "0", "1", "2"]),
+    lambda inner: st.one_of(
+        st.builds("({} {} {})".format, inner, st.sampled_from(["+", "*", "/"]), inner),
+        st.builds("-{}".format, inner),
+        st.builds("{}^{}".format, inner, st.sampled_from(["-1", "0", "2"])),
+        st.builds("inv({})".format, inner),
+    ),
+    max_leaves=8,
+)
+_TEXT = st.one_of(
+    st.text(max_size=12),
+    st.builds(
+        str.join, st.sampled_from(["", " "]), st.lists(st.sampled_from(_TOKENS), max_size=14)
+    ),
+    _WELL_FORMED,
+)
+_OPTIONS = {
+    "parse": [[], ["--sig", "iamdz"], ["--sig", "cr"], ["--numerals", "structural"]],
+    "normalize": [["--sig", sig] for sig in ("iamd", "iamdz", "imd", "dmd", "damd", "damdz")]
+    + [["--sig", "iamdz", "--max-monomials", "2"]],
+    "eval": [[], ["--carrier", "pos"], ["--carrier", "nonneg"]]
+    + [["--punch", punch] for punch in ("inv0", "divall0", "divnz0")],
+    "decide": [["--theory", theory] for theory in ("iamd", "damd", "ratiaz-gil", "ratdaz-gil")]
+    + [["--theory", "closed:iamdz"], ["--theory", "closed:dmd"]]
+    + [["--theory", "ratiaz-gil", "--max-monomials", "3"]],
+    "defined": [[]],
+    "translate": [["--to", "inv"], ["--to", "div"]],
+}
+
+
+@st.composite
+def cli_argv(draw) -> list[str]:
+    """An argument list for one subcommand with random expression text."""
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    argv = [command, *draw(st.sampled_from(_OPTIONS[command]))]
+    argv += draw(st.sampled_from([[], ["--format", "structured"]]))
+    if command == "eval":
+        assign = st.sampled_from(["x=1,y=0", "x=-1/2", "z=3/0", "x=1,x=2"])
+        argv += ["--assign", draw(st.one_of(assign, _TEXT))]
+    if draw(st.booleans()):
+        argv.append("--")  # else a text that starts with '-' reads as an option
+    return argv + [draw(_TEXT) for _ in range(2 if command == "decide" else 1)]
+
+
+@given(cli_argv())
+@settings(max_examples=300, deadline=None)
+def test_any_text_gets_an_exit_code(argv: list[str]):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors and --help
+            code = exc.code
+    assert code in (EXIT_OK, EXIT_FALSE, EXIT_ERROR, EXIT_UNDEFINED), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 class TestEntryPoint:

@@ -396,14 +396,15 @@ class TestDecideIamdzGil:
     def test_one_case_per_zero_set(self, monkeypatch):
         import meadows.decide
 
-        calls, substitutions = [], []
+        calls, restrictions = [], []
+        restrict = meadows.decide._restrict
         monkeypatch.setattr(
             meadows.decide, "decide_iamd", lambda *args: calls.append(args) or decide_iamd(*args)
         )
         monkeypatch.setattr(
             meadows.decide,
-            "substitute",
-            lambda *args: substitutions.append(args) or substitute(*args),
+            "_restrict",
+            lambda *args: restrictions.append(args) or restrict(*args),
         )
         names = [f"v{i}" for i in range(8)]
         lhs = reduce(Add, [Mul(Var(v), Inv(Var(v))) for v in names])
@@ -413,13 +414,30 @@ class TestDecideIamdzGil:
         assert isinstance(d.evidence, RecursionTrace)
         assert len(d.evidence.steps) == 2**8
         assert len(calls) <= 2**8
-        # Each zero set is its parent's with one more variable at 0.
-        assert len(substitutions) <= 2 * (2**8 - 1)
+        # Each zero set is restricted from its parent's pair, once per side.
+        assert 0 < len(restrictions) <= 2 * (2**8 - 1)
         assert [step.description for step in d.evidence.steps] == [
             ", ".join(f"{v} = 0" for v in zeros) or "all variables nonzero"
             for size in range(len(names) + 1)
             for zeros in combinations(names, size)
         ]
+
+    def test_case_implied_by_its_parent_is_skipped(self):
+        # At w = 0 and at x = 0 the pair keeps only (u + 1) * (u + 1)^-1 for
+        # the other variable u, which vanishes nowhere, so w = 0, x = 0 is
+        # no case of its own.
+        w = Var("w")
+        s = Add(Add(w, X), ONE)
+        lhs = Add(Mul(Mul(w, Inv(w)), Mul(X, Inv(X))), Mul(s, Inv(s)))
+        rhs = Add(
+            Mul(Mul(power(w, 2), power(Inv(w), 2)), Mul(power(X, 2), power(Inv(X), 2))),
+            Mul(power(s, 2), power(Inv(s), 2)),
+        )
+        d = decide_iamdz_gil(lhs, rhs)
+        assert d.verdict
+        assert isinstance(d.evidence, RecursionTrace)
+        cases = [step.description for step in d.evidence.steps]
+        assert cases == ["all variables nonzero", "w = 0", "x = 0"]
 
     def test_searched_zero_sets_are_not_folded_again(self, monkeypatch):
         import meadows.decide
@@ -676,6 +694,47 @@ class TestGilSplitGuards:
         assert (d.verdict, d.evidence.assignment) == (verdict, env)
         # x * x^-1 * x = x holds at every zero set.
         assert decide_iamdz_gil(Mul(t, total), total).verdict
+
+
+def cyclic_pair(n: int) -> tuple[Term, Term]:
+    """The sum over i of (v_i + v_j) * (v_i + v_j)^-1 + v_i * v_i^-1 * v_j * v_j^-1,
+    j = i + 1 mod n, against the sum of v_i * v_i^-1 + v_j * v_j^-1: true only
+    by the general inverse law, at every one of the 2^n zero sets."""
+    v = [Var(f"v{i}") for i in range(n)]
+
+    def unit(t: Term) -> Term:
+        return Mul(t, Inv(t))
+
+    edges = [(v[i], v[(i + 1) % n]) for i in range(n)]
+    lhs = reduce(Add, [Add(unit(Add(a, b)), Mul(unit(a), unit(b))) for a, b in edges])
+    rhs = reduce(Add, [Add(unit(a), unit(b)) for a, b in edges])
+    return lhs, rhs
+
+
+class TestCyclicFamily:
+    """The cyclic family needs a case for every zero set, and the atom check
+    cannot decide it."""
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_agrees_with_every_zero_set(self, monkeypatch, n: int):
+        import meadows.decide
+
+        atom_matches = record_atom_checks(monkeypatch)
+        lhs, rhs = cyclic_pair(n)
+        d = decide_iamdz_gil(lhs, rhs)
+        assert exhaustive_gil(lhs, rhs, meadows.decide._ZERO_PATTERN_LIMIT + 1) == (True, None)
+        assert d.verdict
+        assert isinstance(d.evidence, RecursionTrace)
+        assert len(d.evidence.steps) == 2**n
+        assert atom_matches == [False]
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_plus_one_is_refuted_at_all_ones(self, n: int):
+        lhs, rhs = cyclic_pair(n)
+        d = decide_iamdz_gil(lhs, Add(rhs, ONE))
+        assert not d.verdict
+        assert d.evidence.assignment == {f"v{i}": Fraction(1) for i in range(n)}
+        assert (d.evidence.lhs_value, d.evidence.rhs_value) == (2 * n, 2 * n + 1)
 
 
 def record_atom_checks(monkeypatch) -> list[bool]:

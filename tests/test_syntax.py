@@ -160,6 +160,42 @@ class TestParseErrors:
         assert info.value.column == 19
         assert parse_term("x^0000002") == power(Var("x"), 2)
 
+    def test_exponent_is_priced_without_walking_its_base(self, monkeypatch):
+        import meadows.terms
+
+        def no_walk(t):
+            raise AssertionError("the parser walked a term")
+
+        text = "(x^499999)^1"
+        with monkeypatch.context() as patched:
+            patched.setattr(meadows.terms, "nodes", no_walk)
+            with pytest.raises(ParseError, match="exponent expands past 1000000") as info:
+                parse(text)
+            small = parse("-(x + 2 / y)^3 * inv(0 + z)^2^2").term
+        assert (info.value.line, info.value.column) == (1, 12)
+        assert small == Mul(
+            Neg(power(Add(X, Div(numeral(2), Y)), 3)), power(power(Inv(Add(ZERO, Z)), 2), 2)
+        )
+
+    def test_exponent_price_uses_the_base_size(self, monkeypatch):
+        import meadows.syntax
+        from meadows.terms import term_size
+
+        priced = []
+        parse_exponent = meadows.syntax._Parser.parse_exponent
+
+        def recorded(parser, base, size):
+            priced.append((base, size))
+            return parse_exponent(parser, base, size)
+
+        monkeypatch.setattr(meadows.syntax._Parser, "parse_exponent", recorded)
+        rng = random.Random(7)
+        for sig in [SignatureId.CR, SignatureId.IMD, SignatureId.DMD] * 20:
+            bases = [render(random_term(rng, sig, 12, ("x", "y"))) for _ in range(3)]
+            parse(" * ".join(f"({b})^{rng.randint(0, 3)}" for b in bases))
+        assert len(priced) >= 180
+        assert all(size == term_size(base) for base, size in priced)
+
 
 class TestRender:
     def test_numeral_collapsing_modes(self):
