@@ -10,15 +10,16 @@ is exact because positive polynomials are nonzero.
 
 With 0 in the signature and the general inverse law (x != 0 implies
 x * x^-1 = 1) assumed, every variable is 0 or invertible, so provability
-is decided by cases over the sets of variables set to 0.  The split
-visits only the zero sets at which one more inverted argument of a
-visited case vanishes, builds each case's sides from that case's in one
-restriction fold, and decides each distinct case once by the zero-free
-comparison, kept as evidence (``decide_iamdz_gil``).  Before it splits,
-it compares the sides with each inverse an opaque atom: sides equal as
-polynomials over the variables and atoms are equal by the semiring laws
-and congruence alone (Grégoire & Mahboubi, TPHOLs 2005), with no case to
-decide.
+is decided by cases over the sets of variables set to 0
+(``decide_iamdz_gil``).  The 0/1 points with at most one variable 0 come
+first; then the sides are compared with each inverse an opaque atom
+(sides equal as polynomials over the variables and atoms are equal by the
+semiring laws and congruence alone: Grégoire & Mahboubi, TPHOLs 2005);
+only then come the other zero patterns and the split.  The split visits
+only the zero sets at which one more inverted argument of a visited case
+vanishes, builds each case's sides from that case's in one restriction
+fold, and decides each distinct case once by the zero-free comparison,
+kept as evidence.
 
 Divisive equations are decided by translating division away; closed
 terms of any of the seven signatures are decided by comparing their
@@ -27,10 +28,11 @@ evaluation doubles as an independent oracle for the syntactic procedures.
 
 A false verdict always carries a concrete counterexample assignment.
 Both procedures first evaluate the two sides exactly at 0/1 points (the
-all-ones point, or every zero pattern) with the evaluator of
-:mod:`meadows.evaluate`, which also checks the signature, and refute at
-the first point that separates them, before normalizing or translating
-anything; true verdicts come only from matched normal forms.  Otherwise the zero-carrying
+all-ones point, or the zero patterns in the order above) with the
+evaluator of :mod:`meadows.evaluate`, which also checks the signature,
+and refute at the first point that separates them, before normalizing or
+translating anything; true verdicts come only from matched normal forms.
+Otherwise the zero-carrying
 search lifts the counterexample of the first failing case, and the
 zero-free search specializes the two distinct cross-product polynomials
 one variable at a time to small positive integers at which they differ
@@ -139,8 +141,7 @@ def decide_iamd(t: Term, u: Term, max_monomials: int = DEFAULT_MAX_MONOMIALS) ->
     differ, the counterexample is a point of small positive integers where
     they do.  ``max_monomials`` bounds every polynomial actually built.
     """
-    refuted = _refuted_at_ones(t, u, SignatureId.IAMD)
-    return refuted or _decide_zero_free(t, u, max_monomials)
+    return _refuted_at(t, u, SignatureId.IAMD, [()]) or _decide_zero_free(t, u, max_monomials)
 
 
 def _decide_zero_free(t: Term, u: Term, max_monomials: int) -> Decision:
@@ -157,14 +158,19 @@ def _decide_zero_free(t: Term, u: Term, max_monomials: int) -> Decision:
     return Decision(False, _counterexample(t, u, env, Carrier.POSITIVE))
 
 
-def _refuted_at_ones(t: Term, u: Term, sig: SignatureId) -> Decision | None:
-    """A false verdict when zero-free sides differ at the all-ones point, else None."""
-    point, refuse = _zero_one(()), _not_in(sig)
-    p, q, _ = _evaluate(t, point, sig.constructors, refuse)
-    r, s, _ = _evaluate(u, point, sig.constructors, refuse)
-    if p * s != r * q:
-        ones = dict.fromkeys(sorted({*free_vars(t), *free_vars(u)}), Fraction(1))
-        return Decision(False, Counterexample(ones, Fraction(p, q), Fraction(r, s)))
+def _refuted_at(t: Term, u: Term, sig: SignatureId, patterns, variables=None) -> Decision | None:
+    """A false verdict at the first 0/1 point where the sides differ, else None.
+    Each pattern is the set of variables at 0 there; the first point checks ``sig``.
+    Only a refutation lists ``variables``, or both sides' variables when None."""
+    allowed, refuse = sig.constructors, _not_in(sig)
+    for zeros in patterns:
+        point = _zero_one(zeros)
+        p, q, _ = _evaluate(t, point, allowed, refuse)
+        r, s, _ = _evaluate(u, point, allowed, refuse)
+        if p * s != r * q:
+            names = sorted({*free_vars(t), *free_vars(u)}) if variables is None else variables
+            env = {v: Fraction(0) if v in zeros else Fraction(1) for v in names}
+            return Decision(False, Counterexample(env, Fraction(p, q), Fraction(r, s)))
     return None
 
 
@@ -219,33 +225,33 @@ def decide_iamdz_gil(t: Term, u: Term, max_monomials: int = DEFAULT_MAX_MONOMIAL
     inverse-free identity; a false one carries a counterexample from the
     first failing case.
 
-    After the 0/1 search, and only if the split would decide more than
-    one case, the zero-eliminated sides are compared with each inverse an
-    opaque atom, named by its inverse text such as ``(x + y)^-1``, one per
-    atom normal form of its argument.  Matched polynomials prove the
-    equation by the semiring laws and congruence, so they are the
-    evidence of a true verdict; otherwise the split decides as before.
+    The split is the last of three steps.  First the sides are evaluated
+    at the n + 1 points with at most one variable 0.  Then, only if the
+    split would decide more than one case, the zero-eliminated sides are
+    compared with each inverse an opaque atom, named by its inverse text
+    such as ``(x + y)^-1``, one per atom normal form of its argument;
+    matched polynomials prove the equation by the semiring laws and
+    congruence, and are the evidence.  Last come the other zero patterns,
+    up to ``_ZERO_PATTERN_LIMIT + 1`` in all, and the split.  As the check
+    proves no false equation, the order changes no verdict.
     """
-    variables = sorted({*free_vars(t), *free_vars(u)})
-    # A derivable equation holds at every non-negative point, so any
-    # separating 0/1 point refutes it outright; searching before the case
-    # split also yields the simplest counterexamples first.  The first
-    # point, all ones, checks both sides against the signature.
-    allowed, refuse = SignatureId.IAMDZ.constructors, _not_in(SignatureId.IAMDZ)
-    for zeros in islice(_zero_sets(variables), _ZERO_PATTERN_LIMIT + 1):
-        point = _zero_one(zeros)
-        p, q, _ = _evaluate(t, point, allowed, refuse)
-        r, s, _ = _evaluate(u, point, allowed, refuse)
-        if p * s != r * q:
-            env = {v: Fraction(0) if v in zeros else Fraction(1) for v in variables}
-            return Decision(False, Counterexample(env, Fraction(p, q), Fraction(r, s)))
+    variables, sig = sorted({*free_vars(t), *free_vars(u)}), SignatureId.IAMDZ
     if not variables:
-        # A closed equation was settled by its one zero pattern, the empty one.
-        return Decision(True, MatchedNormals(Fraction(p, q), Fraction(r, s)))
+        # A closed equation has one point, the empty zero set; its values decide it.
+        allowed, refuse = sig.constructors, _not_in(sig)
+        lhs, rhs = (Fraction(*_evaluate(s, _zero_one(()), allowed, refuse)[:2]) for s in (t, u))
+        evidence = MatchedNormals(lhs, rhs) if lhs == rhs else Counterexample({}, lhs, rhs)
+        return Decision(lhs == rhs, evidence)
+    # A derivable equation holds at every non-negative point, so any
+    # separating 0/1 point refutes it outright, simplest points first.
+    n = len(variables)
+    patterns = islice(_zero_sets(variables), _ZERO_PATTERN_LIMIT + 1)
+    first = list(islice(patterns, n + 1))
+    if refuted := _refuted_at(t, u, sig, first, variables):
+        return refuted
     # Zero sets are masks, with bit n-1-i for the i-th variable: then among
     # the sets of one size the larger mask comes first in the order of
     # ``_zero_sets``, so the heap pops them in that order by this key.
-    n = len(variables)
     full = (1 << n) - 1
     bits = [1 << (n - 1 - i) for i in range(n)]
     bit = dict(zip(variables, bits))
@@ -253,7 +259,6 @@ def decide_iamdz_gil(t: Term, u: Term, max_monomials: int = DEFAULT_MAX_MONOMIAL
     def order(mask: int) -> int:
         return mask.bit_count() << n | full & ~mask
 
-    last_searched = order(sum(map(bit.__getitem__, zeros)))
     root = zero_elim(t), zero_elim(u)
     root_guards = set() if ZERO in root else _guards(root, bit)
     if root_guards:
@@ -264,6 +269,10 @@ def decide_iamdz_gil(t: Term, u: Term, max_monomials: int = DEFAULT_MAX_MONOMIAL
                 return Decision(True, MatchedNormals(lhs, rhs))
         except SizeLimit:
             pass
+    rest = list(patterns)
+    if refuted := _refuted_at(t, u, sig, rest, variables):
+        return refuted
+    last_searched = order(sum(map(bit.__getitem__, (rest or first)[-1])))
     steps: list[TraceStep] = []
     # Each decided pair maps to its guards: the zero sets its children add to its own.
     decided: dict[tuple[Term, Term], set[int]] = {}
@@ -389,7 +398,7 @@ def decide_divisive(
     if theory is TheoryId.DAMD:
         # The all-ones fold checks the signature and refutes before translating,
         # and translation keeps the values it compared.
-        refuted = _refuted_at_ones(t, u, SignatureId.DAMD)
+        refuted = _refuted_at(t, u, SignatureId.DAMD, [()])
         return refuted or _decide_zero_free(div_to_inv(t), div_to_inv(u), max_monomials)
     if theory is not TheoryId.RATDAZ_GIL:
         raise ValueError(f"no divisive decision procedure for theory {theory.value}")

@@ -33,6 +33,7 @@ from meadows import (
     decide_iamdz_gil,
     eval_total,
     free_vars,
+    inv_to_div,
     numeral,
     power,
     split_inverse,
@@ -621,10 +622,16 @@ class TestGilSplitGuards:
 
     # The pre-search cut down to the all-ones point leaves the refutations to
     # the split; a family cap of 1 cuts every guard of two or more minimal zero
-    # sets to its single variables.
+    # sets to its single variables; cut to three points, the pre-search ends
+    # inside the single zeros, before the atom check, and searches nothing after it.
     @pytest.mark.parametrize(
         "limits",
-        [{}, {"_ZERO_PATTERN_LIMIT": 0}, {"_ZERO_PATTERN_LIMIT": 0, "_GUARD_FAMILY_LIMIT": 1}],
+        [
+            {},
+            {"_ZERO_PATTERN_LIMIT": 0},
+            {"_ZERO_PATTERN_LIMIT": 0, "_GUARD_FAMILY_LIMIT": 1},
+            {"_ZERO_PATTERN_LIMIT": 2},
+        ],
     )
     def test_agrees_with_every_zero_set(self, monkeypatch, limits: dict):
         import meadows.decide
@@ -633,6 +640,16 @@ class TestGilSplitGuards:
             monkeypatch.setattr(meadows.decide, name, value)
         searched = meadows.decide._ZERO_PATTERN_LIMIT + 1
         atom_matches = record_atom_checks(monkeypatch)
+        searches = []
+        refuted_at = meadows.decide._refuted_at
+
+        def recorded(t, u, sig, patterns, *rest):
+            patterns = list(patterns)
+            if sig is SignatureId.IAMDZ:
+                searches.append([len(zeros) for zeros in patterns])
+            return refuted_at(t, u, sig, patterns, *rest)
+
+        monkeypatch.setattr(meadows.decide, "_refuted_at", recorded)
         verdicts = []
         for t, u in guarded_pairs(range(200)):
             d = decide_iamdz_gil(t, u)
@@ -645,6 +662,14 @@ class TestGilSplitGuards:
         # The atom check decides 94 of the 600 pairs, so the exhaustive split
         # is its oracle too.
         assert sum(atom_matches) >= 80
+        # A first search, from all ones, evaluates no two zeros; a second
+        # evaluates nothing else, and nothing at all when the limit is 2.
+        for sizes in searches:
+            if sizes[:1] == [0]:
+                assert max(sizes) <= 1 and len(sizes) <= searched
+            else:
+                assert min(sizes, default=2) >= 2
+                assert searched > 3 or not sizes
 
     def test_every_inverted_argument_is_a_guard(self, monkeypatch):
         import meadows.decide
@@ -813,6 +838,67 @@ class TestAtomCheck:
         d = decide_iamdz_gil(lhs, rhs, max_monomials=50)
         assert d.verdict
         assert isinstance(d.evidence, RecursionTrace)
+
+
+def sum_of_units(n: int) -> tuple[Term, Term]:
+    """The sum of v_i * v_i^-1 against the sum of v_i^-1 * v_i, i < n."""
+    v = [Var(f"v{i}") for i in range(n)]
+    return reduce(Add, [Mul(x, Inv(x)) for x in v]), reduce(Add, [Mul(Inv(x), x) for x in v])
+
+
+class TestPreSearchOrder:
+    """The 0/1 points with at most one zero come before the atom check, and
+    the other zero patterns after it."""
+
+    @pytest.mark.parametrize("divisive", [False, True])
+    def test_atom_check_skips_the_exponential_search(self, monkeypatch, divisive: bool):
+        import meadows.decide
+
+        folds = []
+        monkeypatch.setattr(
+            meadows.decide, "_evaluate", lambda *args: folds.append(args) or _evaluate(*args)
+        )
+        atom_matches = record_atom_checks(monkeypatch)
+        n = 10
+        lhs, rhs = sum_of_units(n)
+        if divisive:
+            lhs, rhs = inv_to_div(lhs), inv_to_div(rhs)
+            d = decide_divisive(lhs, rhs, TheoryId.RATDAZ_GIL)
+        else:
+            d = decide_iamdz_gil(lhs, rhs)
+        assert d.verdict
+        assert isinstance(d.evidence, MatchedNormals)
+        # All ones and each single zero, not the first 257 of the 1024 zero sets.
+        assert len(folds) == 2 * (n + 1)
+        assert atom_matches == [True]
+
+    def test_single_zero_refutes_before_the_atom_check(self, monkeypatch):
+        atom_matches = record_atom_checks(monkeypatch)
+        n = 10
+        lhs, _ = sum_of_units(n)
+        d = decide_iamdz_gil(lhs, numeral(n))
+        assert d == Decision(
+            False,
+            Counterexample(
+                {f"v{i}": Fraction(0 if i == 0 else 1) for i in range(n)},
+                Fraction(n - 1),
+                Fraction(n),
+            ),
+        )
+        assert not atom_matches
+
+    def test_two_zeros_refute_after_the_atom_check(self, monkeypatch):
+        import meadows.decide
+
+        atom_matches = record_atom_checks(monkeypatch)
+        s = Add(X, Y)
+        t, u = Mul(s, Inv(s)), ONE
+        d = decide_iamdz_gil(t, u)
+        verdict, env = exhaustive_gil(t, u, meadows.decide._ZERO_PATTERN_LIMIT + 1)
+        assert not verdict
+        assert env == {"x": Fraction(0), "y": Fraction(0)}
+        assert d == Decision(False, Counterexample(env, Fraction(0), Fraction(1)))
+        assert atom_matches == [False]
 
 
 class TestDecideClosed:
