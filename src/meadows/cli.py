@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .decide import (
     Counterexample,
@@ -148,14 +148,15 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _emit(args: argparse.Namespace, text: str, structured: dict) -> None:
+def _emit(args: argparse.Namespace, text: Callable[[], str], doc: Callable[[], dict]) -> None:
+    """Print the output ``--format`` selects, built only then."""
     if args.format == "structured":
         try:
-            print(json.dumps(structured))
+            print(json.dumps(doc()))
         except RecursionError:
             raise SchemaError("result is nested too deeply for the json module") from None
     else:
-        print(text)
+        print(text())
 
 
 def _style(args: argparse.Namespace) -> NumeralStyle:
@@ -173,7 +174,7 @@ def _conforming(expr: str, sig: Optional[str]) -> Term:
 def _cmd_parse(args: argparse.Namespace) -> int:
     term = _conforming(args.expr, args.sig)
     rendered = render(term, _style(args))
-    _emit(args, rendered, {"rendered": rendered, "term": term_to_dict(term)})
+    _emit(args, lambda: rendered, lambda: {"rendered": rendered, "term": term_to_dict(term)})
     return EXIT_OK
 
 
@@ -184,8 +185,8 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
         normal = closed_normal(term, sig)
         _emit(
             args,
-            str(normal),
-            {
+            lambda: str(normal),
+            lambda: {
                 "kind": "zero" if normal == 0 else "fraction",
                 "numerator": normal.numerator,
                 "denominator": normal.denominator,
@@ -201,13 +202,13 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
     if sig in (SignatureId.IAMDZ, SignatureId.DAMDZ):
         inversive = zero_elim(inversive)
         if isinstance(inversive, Zero):
-            _emit(args, "0", {"kind": "zero", "numerator": 0, "denominator": 1})
+            _emit(args, lambda: "0", lambda: {"kind": "zero", "numerator": 0, "denominator": 1})
             return EXIT_OK
     fraction = split_inverse(inversive, _bound(args))
     _emit(
         args,
-        fraction.render(),
-        {
+        fraction.render,
+        lambda: {
             "kind": "poly-fraction",
             "numerator": fraction.numerator.render(),
             "denominator": fraction.denominator.render(),
@@ -221,15 +222,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if args.punch is not None:
         env = _parse_assignment(args.assign, Carrier.NON_NEGATIVE)
         result = eval_punched(term, env, PunchId(args.punch))
-        if isinstance(result, Defined):
-            _emit(args, str(result.value), {"defined": True, "value": str(result.value)})
-            return EXIT_OK
-        _emit(args, "undefined", {"defined": False, "value": None})
-        return EXIT_UNDEFINED
-    carrier = Carrier(args.carrier)
-    env = _parse_assignment(args.assign, carrier)
-    value = eval_total(term, env, carrier)
-    _emit(args, str(value), {"defined": True, "value": str(value)})
+        if not isinstance(result, Defined):
+            _emit(args, lambda: "undefined", lambda: {"defined": False, "value": None})
+            return EXIT_UNDEFINED
+        value = result.value
+    else:
+        carrier = Carrier(args.carrier)
+        value = eval_total(term, _parse_assignment(args.assign, carrier), carrier)
+    _emit(args, lambda: str(value), lambda: {"defined": True, "value": str(value)})
     return EXIT_OK
 
 
@@ -289,8 +289,8 @@ def _cmd_decide(args: argparse.Namespace) -> int:
     verdict = "true" if decision.verdict else "false"
     _emit(
         args,
-        f"{verdict}\n{_evidence_text(decision)}",
-        {"verdict": decision.verdict, "evidence": _evidence_doc(decision.evidence)},
+        lambda: f"{verdict}\n{_evidence_text(decision)}",
+        lambda: {"verdict": decision.verdict, "evidence": _evidence_doc(decision.evidence)},
     )
     return EXIT_OK if decision.verdict else EXIT_FALSE
 
@@ -298,7 +298,7 @@ def _cmd_decide(args: argparse.Namespace) -> int:
 def _cmd_defined(args: argparse.Namespace) -> int:
     term = parse(args.expr).term
     verdict = classify_def(term)
-    _emit(args, verdict.value, {"class": verdict.value})
+    _emit(args, lambda: verdict.value, lambda: {"class": verdict.value})
     return EXIT_OK
 
 
@@ -306,7 +306,7 @@ def _cmd_translate(args: argparse.Namespace) -> int:
     term = parse(args.expr).term
     translated = div_to_inv(term) if args.to == "inv" else inv_to_div(term)
     rendered = render(translated, _style(args))
-    _emit(args, rendered, {"rendered": rendered, "term": term_to_dict(translated)})
+    _emit(args, lambda: rendered, lambda: {"rendered": rendered, "term": term_to_dict(translated)})
     return EXIT_OK
 
 

@@ -24,6 +24,7 @@ one integer addition (Monagan & Pearce, CASC 2007).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from heapq import heapify, heappop, heappush
 from math import prod
 from typing import Container, Iterator, Mapping, NamedTuple
@@ -121,11 +122,15 @@ class PosPoly:
     def __repr__(self) -> str:
         return f"PosPoly({self.render()})"
 
+    def _fields(self) -> tuple[list[tuple[str, int]], int]:
+        """Each name of the layout with its field's shift, and the mask of one field."""
+        names, width = self._layout
+        top = width * len(names)
+        return [(name, top - width * i) for i, name in enumerate(names, 1)], (1 << width) - 1
+
     def _unpacked(self, keys=None) -> Iterator[tuple[Monomial, int]]:
         """Monomial/coefficient pairs of ``keys``, by default all in any order."""
-        names, width = self._layout
-        mask, top = (1 << width) - 1, width * len(names)
-        fields = [(name, top - width * i) for i, name in enumerate(names, 1)]
+        fields, mask = self._fields()
         for key in self._coeffs if keys is None else keys:
             mono = tuple([(name, e) for name, shift in fields if (e := key >> shift & mask)])
             yield mono, self._coeffs[key]
@@ -151,7 +156,9 @@ class PosPoly:
 
     @property
     def variables(self) -> tuple[str, ...]:
-        return tuple(sorted({v for mono, _ in self._unpacked() for v, _ in mono}))
+        """The names some monomial uses; the layout may hold more."""
+        (fields, mask), used = self._fields(), reduce(int.__or__, self._coeffs)
+        return tuple([name for name, shift in fields if used >> shift & mask])
 
     @property
     def is_constant(self) -> bool:
@@ -223,11 +230,19 @@ class PosPoly:
         return sum(terms, Fraction(0))
 
     def render(self) -> str:
-        """Canonical text: graded-lex descending, e.g. ``2*x^2*y + x + 3``."""
-        parts = []
-        for mono, coeff in self.items():
-            factors = [v if e == 1 else f"{v}^{e}" for v, e in mono]
-            parts.append("*".join(factors if coeff == 1 and factors else [str(coeff), *factors]))
+        """Canonical text, graded-lex descending (``2*x^2*y + x + 3``), read off the packed keys."""
+        fields, mask = self._fields()
+        coeffs, columns, parts = self._coeffs, [(name, shift, {}) for name, shift in fields], []
+        for key in sorted(coeffs, reverse=True):
+            factors = []
+            for name, shift, texts in columns:
+                if e := key >> shift & mask:
+                    if (text := texts.get(e)) is None:
+                        text = texts[e] = f"{name}^{e}" if e > 1 else name
+                    factors.append(text)
+            if (coeff := coeffs[key]) != 1 or not factors:
+                factors.insert(0, str(coeff))
+            parts.append("*".join(factors))
         return " + ".join(parts)
 
     __str__ = render

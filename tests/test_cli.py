@@ -3,6 +3,8 @@
 import io
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -453,6 +455,60 @@ def test_any_text_gets_an_exit_code(argv: list[str]):
             code = exc.code
     assert code in (EXIT_OK, EXIT_FALSE, EXIT_ERROR, EXIT_UNDEFINED), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+class TestOutputBuiltOnce:
+    """Each command builds only the output ``--format`` selects."""
+
+    @pytest.mark.parametrize("fmt", [[], ["--format", "structured"]])
+    def test_normalize_renders_each_polynomial_once(self, fmt, capsys, monkeypatch):
+        rendered = []
+        render = meadows.PosPoly.render
+        monkeypatch.setattr(meadows.PosPoly, "render", lambda p: rendered.append(p) or render(p))
+        code, out, _ = run(capsys, "normalize", "--sig", "iamd", "x + y^-1", *fmt)
+        assert code == EXIT_OK and "x*y + 1" in out
+        assert [render(p) for p in rendered] == ["x*y + 1", "y"]
+
+    @pytest.mark.parametrize(
+        "argv", [["parse", "x * inv(x)"], ["translate", "--to", "inv", "x / y"]]
+    )
+    def test_text_builds_no_document(self, argv, capsys, monkeypatch):
+        def refuse(term):
+            raise AssertionError("term_to_dict called for text output")
+
+        monkeypatch.setattr("meadows.cli.term_to_dict", refuse)
+        code, _, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+
+
+def readme_examples() -> list[tuple[list[str], str]]:
+    """Each ``$ meadows ...`` line of the README's "Command line" block, as an
+    argument list, with the lines printed under it."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"## Command line\n\n```\n(.*?)```", readme, re.S).group(1)
+    examples = []
+    for example in block.strip().split("\n\n"):
+        command, *output = example.split("\n")
+        assert command.startswith("$ meadows "), command
+        examples.append((shlex.split(command)[2:], "".join(f"{line}\n" for line in output)))
+    return examples
+
+
+README_EXAMPLES = readme_examples()
+
+
+@pytest.mark.parametrize(
+    "argv, printed", README_EXAMPLES, ids=[" ".join(argv) for argv, _ in README_EXAMPLES]
+)
+def test_readme_command_line_examples(argv, printed, capsys):
+    code, out, err = run(capsys, *argv)
+    assert (out, err) == (printed, "")
+    first_line = printed.split("\n")[0]
+    assert code == {"false": EXIT_FALSE, "undefined": EXIT_UNDEFINED}.get(first_line, EXIT_OK)
+
+
+def test_readme_lists_its_examples():
+    assert len(README_EXAMPLES) >= 9
 
 
 class TestEntryPoint:

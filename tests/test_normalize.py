@@ -34,6 +34,7 @@ from meadows import (
     substitute,
     zero_elim,
 )
+from meadows.normalize import DEFAULT_MAX_MONOMIALS, _expand, _factored
 from termgen import random_env, random_term
 
 X = Var("x")
@@ -268,6 +269,75 @@ class TestPackedKernel:
         assert got * PosPoly(r) == PosPoly(pqr)
         assert hash(got * PosPoly(r)) == hash(PosPoly(pqr))
         assert list(got.items()) == sorted(pq.items(), key=lambda kv: graded_lex(kv[0]), reverse=True)
+
+
+def reference_render(p: PosPoly) -> str:
+    """The text of ``p`` from its unpacked ``items()``, monomial by monomial."""
+    parts = []
+    for mono, coeff in p.items():
+        factors = [v if e == 1 else f"{v}^{e}" for v, e in mono]
+        parts.append("*".join(factors if coeff == 1 and factors else [str(coeff), *factors]))
+    return " + ".join(parts)
+
+
+# Exponents small, past an 8-bit field and past a 16-bit field.
+EXPONENTS = st.one_of(st.integers(1, 4), st.integers(250, 300), st.integers(65_530, 65_540))
+RENDER_NAMES = ("a", "b2", "x", "y", "zz")
+
+
+@st.composite
+def built_polys(draw):
+    """Maps over some names, with 8- to 32-bit fields, and constants."""
+    if draw(st.booleans()):
+        return PosPoly.constant(draw(st.integers(1, 10**6)))
+    names = sorted(draw(st.sets(st.sampled_from(RENDER_NAMES))))
+    coeffs = {}
+    for _ in range(draw(st.integers(1, 6))):
+        mono = tuple((name, draw(EXPONENTS)) for name in names if draw(st.booleans()))
+        coeffs[mono] = coeffs.get(mono, 0) + draw(st.sampled_from([1, 1, 2, 7, 10**12]))
+    return PosPoly(coeffs)
+
+
+@st.composite
+def factored_polys(draw):
+    """A part of ``_factored`` over more names than the term has, expanded:
+    its layout holds names no monomial uses."""
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    used = sorted(draw(st.sets(st.sampled_from(RENDER_NAMES), max_size=3)))
+    names = tuple(sorted({*used, *draw(st.sets(st.sampled_from(RENDER_NAMES), min_size=1))}))
+    term = random_term(rng, SignatureId.IAMD, 12, used)
+    num, den = _factored(term, names, DEFAULT_MAX_MONOMIALS)
+    return _expand(draw(st.sampled_from([num, den])), DEFAULT_MAX_MONOMIALS)
+
+
+# Sums and products of two polynomials repack them to the union layout.
+RENDERED_POLYS = st.one_of(
+    built_polys(),
+    factored_polys(),
+    st.tuples(built_polys(), built_polys()).map(lambda pq: pq[0].add(pq[1])),
+    st.tuples(built_polys(), factored_polys()).map(lambda pq: pq[0].mul(pq[1])),
+)
+
+
+class TestRenderFromPackedKeys:
+    @given(RENDERED_POLYS)
+    @settings(max_examples=300, deadline=None)
+    def test_render_and_variables_agree_with_items(self, p):
+        assert p.render() == str(p) == reference_render(p)
+        assert p.variables == tuple(sorted({v for mono, _ in p.items() for v, _ in mono}))
+
+    def test_layout_with_unused_names(self):
+        num, den = split_inverse(Mul(Mul(X, X), Inv(Add(Var("z"), ONE))))
+        assert num._layout[0] == den._layout[0] == ("x", "z")
+        assert (num.render(), num.variables) == ("x^2", ("x",))
+        assert (den.render(), den.variables) == ("z + 1", ("z",))
+
+    def test_constants_and_wide_fields(self):
+        assert PosPoly.constant(12).render() == "12"
+        assert PosPoly.constant(12).variables == ()
+        p = PosPoly({(("x", 300), ("y", 1)): 3, (("y", 70_000),): 1, (): 5})
+        assert p._layout[1] == 32
+        assert p.render() == "y^70000 + 3*x^300*y + 5"
 
 
 class TestPolyNormal:
