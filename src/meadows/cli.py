@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", parents=[formatted], help="exact evaluation")
     p.add_argument("expr")
     p.add_argument("--assign", default="", metavar="X=Q,...", help="variable assignment")
-    p.add_argument("--carrier", choices=[c.value for c in Carrier], default="all")
+    p.add_argument("--carrier", choices=[c.value for c in Carrier], help="default all")
     p.add_argument("--punch", choices=[p.value for p in PunchId], help="partial semantics")
 
     p = sub.add_parser("decide", parents=[bounded], help="decide a term equation")
@@ -136,6 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_theory,
         required=True,
         metavar="{iamd|damd|ratiaz-gil|ratdaz-gil|closed:SIG}",
+        help="closed:SIG compares exact rational values, so it decides the "
+        "rational specifications (ratzi, ratiaz, ...), not the bare theory of SIG",
     )
 
     p = sub.add_parser("defined", parents=[formatted], help="syntactic definedness class")
@@ -227,7 +229,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             return EXIT_UNDEFINED
         value = result.value
     else:
-        carrier = Carrier(args.carrier)
+        carrier = Carrier(args.carrier or "all")
         value = eval_total(term, _parse_assignment(args.assign, carrier), carrier)
     _emit(args, lambda: str(value), lambda: {"defined": True, "value": str(value)})
     return EXIT_OK
@@ -331,6 +333,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if closed and args.max_monomials is not None:
         # Closed equations are decided by exact evaluation, which forms no polynomial.
         parser.error("--max-monomials does not apply to closed:SIG theories")
+    if args.command == "eval" and args.punch is not None and args.carrier is not None:
+        parser.error("--carrier does not apply to --punch, which evaluates over nonneg")
     try:
         return _COMMANDS[args.command](args)
     except (MeadowError, ValueError) as exc:

@@ -15,11 +15,10 @@ is decided by cases over the sets of variables set to 0
 first; then the sides are compared with each inverse an opaque atom
 (sides equal as polynomials over the variables and atoms are equal by the
 semiring laws and congruence alone: Grégoire & Mahboubi, TPHOLs 2005);
-only then come the other zero patterns and the split.  The split visits
-only the zero sets at which one more inverted argument of a visited case
-vanishes, builds each case's sides from that case's in one restriction
-fold, and decides each distinct case once by the zero-free comparison,
-kept as evidence.
+only then comes the split.  The split visits only the zero sets at which
+one more inverted argument of a visited case vanishes, builds each case's
+sides from that case's in one restriction fold, and decides each distinct
+case once by the zero-free comparison, kept as evidence.
 
 Divisive equations are decided by translating division away; closed
 terms of any of the seven signatures are decided by comparing their
@@ -28,12 +27,12 @@ evaluation doubles as an independent oracle for the syntactic procedures.
 
 A false verdict always carries a concrete counterexample assignment.
 Both procedures first evaluate the two sides exactly at 0/1 points (the
-all-ones point, or the zero patterns in the order above) with the
+all-ones point, or the points with at most one variable 0) with the
 evaluator of :mod:`meadows.evaluate`, which also checks the signature,
 and refute at the first point that separates them, before normalizing or
 translating anything; true verdicts come only from matched normal forms.
 Otherwise the zero-carrying
-search lifts the counterexample of the first failing case, and the
+split lifts the counterexample of the first failing case, and the
 zero-free search specializes the two distinct cross-product polynomials
 one variable at a time to small positive integers at which they differ
 (``PosPoly.separating_point``), which always succeeds because a nonzero
@@ -45,7 +44,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import combinations, compress, islice
+from itertools import compress
 from typing import Callable, Container, NamedTuple, Union
 
 from .evaluate import Carrier, _evaluate, eval_total
@@ -76,7 +75,6 @@ from .terms import (
 from .theories import TheoryId
 from .translate import div_to_inv
 
-_ZERO_PATTERN_LIMIT = 256
 _GUARD_FAMILY_LIMIT = 16
 
 
@@ -192,8 +190,9 @@ def _counterexample(
 
 
 def decide_closed(t: Term, u: Term, sig: SignatureId) -> Decision:
-    """Decide equality of closed terms over ``sig`` by comparing their
-    normal forms, which are their exact values (``closed_normal``)."""
+    """Decide equality of closed terms over ``sig`` by comparing their exact
+    values (``closed_normal``): provability in the rational specifications
+    (``ratzi``, ``ratiaz``, ...), not in the bare theory of ``sig``."""
     lhs, rhs = closed_normal(t, sig), closed_normal(u, sig)
     return Decision(lhs == rhs, MatchedNormals(lhs, rhs))
 
@@ -212,11 +211,12 @@ def decide_iamdz_gil(t: Term, u: Term, max_monomials: int = DEFAULT_MAX_MONOMIAL
     the split starts from the empty zero set and queues, after each case
     C, the sets C ∪ T for every minimal zero set T of an inverted argument
     in C's reduced pair (``_guards``); elimination turns 0^-1 into 0, so
-    each such argument is nonzero at C.  It visits them smallest first in
-    the order of ``_zero_sets``, so a refutation still comes from the
-    first failing zero set in that order.  The reduced pair of a queued
-    set is that of the case which queued it, restricted by one fold per
-    side to the new variables at 0 (``_restrict``).  A pair not met before
+    each such argument is nonzero at C.  It visits them smallest first,
+    and sets of one size in the lexicographic order of their sorted
+    variables, so a refutation comes from the first failing zero set in
+    that order.  The reduced pair of a queued set is that of the case
+    which queued it, restricted by one fold per side to the new variables
+    at 0 (``_restrict``).  A pair not met before
     is decided once: both sides 0 is true, and stays so at every larger
     zero set; exactly one side 0 is false (a zero-free term is positive
     at the all-ones point); otherwise the zero-free comparison decides.
@@ -231,9 +231,11 @@ def decide_iamdz_gil(t: Term, u: Term, max_monomials: int = DEFAULT_MAX_MONOMIAL
     compared with each inverse an opaque atom, named by its inverse text
     such as ``(x + y)^-1``, one per atom normal form of its argument;
     matched polynomials prove the equation by the semiring laws and
-    congruence, and are the evidence.  Last come the other zero patterns,
-    up to ``_ZERO_PATTERN_LIMIT + 1`` in all, and the split.  As the check
-    proves no false equation, the order changes no verdict.
+    congruence, and are the evidence.  Last comes the split, the only
+    search past the single zeros: each case it decides there evaluates
+    its sides at its own all-ones point before comparing them
+    (``decide_iamd``).  As the check proves no false equation, the order
+    changes no verdict.
     """
     variables, sig = sorted({*free_vars(t), *free_vars(u)}), SignatureId.IAMDZ
     if not variables:
@@ -244,14 +246,12 @@ def decide_iamdz_gil(t: Term, u: Term, max_monomials: int = DEFAULT_MAX_MONOMIAL
         return Decision(lhs == rhs, evidence)
     # A derivable equation holds at every non-negative point, so any
     # separating 0/1 point refutes it outright, simplest points first.
-    n = len(variables)
-    patterns = islice(_zero_sets(variables), _ZERO_PATTERN_LIMIT + 1)
-    first = list(islice(patterns, n + 1))
-    if refuted := _refuted_at(t, u, sig, first, variables):
+    if refuted := _refuted_at(t, u, sig, [(), *zip(variables)], variables):
         return refuted
     # Zero sets are masks, with bit n-1-i for the i-th variable: then among
-    # the sets of one size the larger mask comes first in the order of
-    # ``_zero_sets``, so the heap pops them in that order by this key.
+    # the sets of one size the larger mask comes first in lexicographic
+    # order, so the heap pops them in that order by this key.
+    n = len(variables)
     full = (1 << n) - 1
     bits = [1 << (n - 1 - i) for i in range(n)]
     bit = dict(zip(variables, bits))
@@ -269,10 +269,6 @@ def decide_iamdz_gil(t: Term, u: Term, max_monomials: int = DEFAULT_MAX_MONOMIAL
                 return Decision(True, MatchedNormals(lhs, rhs))
         except SizeLimit:
             pass
-    rest = list(patterns)
-    if refuted := _refuted_at(t, u, sig, rest, variables):
-        return refuted
-    last_searched = order(sum(map(bit.__getitem__, (rest or first)[-1])))
     steps: list[TraceStep] = []
     # Each decided pair maps to its guards: the zero sets its children add to its own.
     decided: dict[tuple[Term, Term], set[int]] = {}
@@ -299,8 +295,8 @@ def decide_iamdz_gil(t: Term, u: Term, max_monomials: int = DEFAULT_MAX_MONOMIAL
                 decision = Decision(True, MatchedNormals(Fraction(0), Fraction(0)))
                 guards = set()  # both sides stay 0 at every larger zero set
             else:
-                # The pre-search already compared the first zero sets' sides at all-ones.
-                decide = _decide_zero_free if key <= last_searched else decide_iamd
+                # The pre-search already compared the single zeros' sides at all-ones.
+                decide = _decide_zero_free if mask.bit_count() <= 1 else decide_iamd
                 decision = decide(s, s2, max_monomials)
                 if not decision.verdict:
                     assert isinstance(decision.evidence, Counterexample)
@@ -376,12 +372,6 @@ def _refutation(t: Term, u: Term, variables: list[str], env: dict[str, Fraction]
     """A false verdict at ``env``, with every variable it leaves out set to 0."""
     full = {**dict.fromkeys(variables, Fraction(0)), **env}
     return Decision(False, _counterexample(t, u, full, Carrier.NON_NEGATIVE))
-
-
-def _zero_sets(variables: list[str]):
-    """Every set of the variables, smallest first."""
-    for size in range(len(variables) + 1):
-        yield from combinations(variables, size)
 
 
 def decide_divisive(

@@ -469,9 +469,13 @@ def _restrict(t: Term, zeros: Container[str]) -> Term:
 def closed_normal(t: Term, sig: SignatureId) -> Fraction:
     """Normal form of a closed term over ``sig``: its exact value.
 
-    In the initial algebra of each signature's theory, closed terms are
-    provably equal exactly when their values are (Bergstra & Tucker,
-    J. ACM 2007), so the zero-totalized value is canonical.
+    In the rational specifications (``ratzi``, ``ratiaz``, ...), whose
+    initial algebras are the rationals, closed terms are provably equal
+    exactly when their values are (Bergstra & Tucker, J. ACM 2007), so the
+    zero-totalized value is canonical there.  It is not canonical for the
+    bare theory of ``sig``: Z_2 with 0^-1 = 0 satisfies ``imd`` and
+    ``iamdz`` but not (1 + 1) * (1 + 1)^-1 = 1 (Bergstra, Hirshfeld &
+    Tucker, TCS 2009).
     """
     if not conforms(t, sig):
         raise NotInSignature(f"term does not conform to the {sig.value} signature")

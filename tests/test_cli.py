@@ -369,6 +369,7 @@ class TestTranslateCommand:
         ["decide", "x", "x", "--theory", "iamd", "--seed", "1"],
         ["defined", "x", "--max-monomials", "5"],
         ["decide", "1", "1", "--theory", "closed:iamd", "--max-monomials", "5"],
+        ["eval", "x", "--punch", "inv0", "--carrier", "pos", "--assign", "x=0"],
     ],
 )
 def test_option_the_subcommand_does_not_read_is_usage_error(argv, capsys):

@@ -454,11 +454,11 @@ class TestDecideIamdzGil:
         lhs = reduce(Add, [Mul(Var(v), Inv(Var(v))) for v in names])
         rhs = squares_times_inverse_squares(names)
         assert decide_iamdz_gil(lhs, rhs).verdict
-        # The pre-search compares the first 257 of the 512 zero sets.  Of the
-        # rest, all but the full set (both sides 0) go through decide_iamd,
-        # which folds both sides at all-ones again.
-        assert len(calls) == 512 - 257 - 1
-        assert len(folds) == 2 * 257 + 2 * len(calls)
+        # The pre-search compares the 10 zero sets with at most one variable.
+        # Of the rest, all but the full set (both sides 0) go through
+        # decide_iamd, which folds both sides at its all-ones point.
+        assert len(calls) == 512 - 10 - 1
+        assert len(folds) == 2 * 10 + 2 * len(calls)
 
     def test_rejects_foreign_constructors(self):
         from meadows import Neg
@@ -579,7 +579,9 @@ class TestDecideIamdzGil:
 def exhaustive_gil(t: Term, u: Term, searched: int) -> tuple[bool, dict | None]:
     """Reference for ``decide_iamdz_gil``: the 0/1 points of the first
     ``searched`` zero sets, then a case for every zero set, each decided
-    by ``decide_iamd``.  The verdict and the counterexample's assignment."""
+    by ``decide_iamd``.  The verdict and the counterexample's assignment.
+    ``decide_iamdz_gil`` searches the empty set and the single variables,
+    so it matches ``searched`` = number of variables + 1."""
     names = sorted({*free_vars(t), *free_vars(u)})
     zero_sets = [z for size in range(len(names) + 1) for z in combinations(names, size)]
     for zeros in zero_sets[:searched]:
@@ -620,40 +622,32 @@ class TestGilSplitGuards:
     """The case split visits only the zero sets at which an inverted argument
     vanishes, yet decides as if it visited every zero set."""
 
-    # The pre-search cut down to the all-ones point leaves the refutations to
-    # the split; a family cap of 1 cuts every guard of two or more minimal zero
-    # sets to its single variables; cut to three points, the pre-search ends
-    # inside the single zeros, before the atom check, and searches nothing after it.
-    @pytest.mark.parametrize(
-        "limits",
-        [
-            {},
-            {"_ZERO_PATTERN_LIMIT": 0},
-            {"_ZERO_PATTERN_LIMIT": 0, "_GUARD_FAMILY_LIMIT": 1},
-            {"_ZERO_PATTERN_LIMIT": 2},
-        ],
-    )
+    # A family cap of 1 cuts every guard of two or more minimal zero sets to
+    # its single variables.
+    @pytest.mark.parametrize("limits", [{}, {"_GUARD_FAMILY_LIMIT": 1}])
     def test_agrees_with_every_zero_set(self, monkeypatch, limits: dict):
         import meadows.decide
 
         for name, value in limits.items():
             monkeypatch.setattr(meadows.decide, name, value)
-        searched = meadows.decide._ZERO_PATTERN_LIMIT + 1
         atom_matches = record_atom_checks(monkeypatch)
         searches = []
         refuted_at = meadows.decide._refuted_at
 
         def recorded(t, u, sig, patterns, *rest):
-            patterns = list(patterns)
             if sig is SignatureId.IAMDZ:
-                searches.append([len(zeros) for zeros in patterns])
+                searches.append(patterns)
             return refuted_at(t, u, sig, patterns, *rest)
 
         monkeypatch.setattr(meadows.decide, "_refuted_at", recorded)
         verdicts = []
         for t, u in guarded_pairs(range(200)):
+            searches.clear()
             d = decide_iamdz_gil(t, u)
-            verdict, env = exhaustive_gil(t, u, searched)
+            names = sorted({*free_vars(t), *free_vars(u)})
+            # One search, over all ones and each single zero; past them, the split.
+            assert searches == ([[(), *zip(names)]] if names else [])
+            verdict, env = exhaustive_gil(t, u, len(names) + 1)
             assert d.verdict == verdict, (t, u)
             if not verdict:
                 assert d.evidence.assignment == env, (t, u)
@@ -662,27 +656,18 @@ class TestGilSplitGuards:
         # The atom check decides 94 of the 600 pairs, so the exhaustive split
         # is its oracle too.
         assert sum(atom_matches) >= 80
-        # A first search, from all ones, evaluates no two zeros; a second
-        # evaluates nothing else, and nothing at all when the limit is 2.
-        for sizes in searches:
-            if sizes[:1] == [0]:
-                assert max(sizes) <= 1 and len(sizes) <= searched
-            else:
-                assert min(sizes, default=2) >= 2
-                assert searched > 3 or not sizes
 
-    def test_every_inverted_argument_is_a_guard(self, monkeypatch):
-        import meadows.decide
-
-        # (1 + x^-1)^-1 has denominator x + 1, which never vanishes, but the
-        # inverted argument x does, and at x = 0 the left side is 1.
-        monkeypatch.setattr(meadows.decide, "_ZERO_PATTERN_LIMIT", 0)
-        lhs = Inv(Add(ONE, Inv(X)))
-        rhs = Mul(X, Inv(Add(X, ONE)))
+    def test_every_inverted_argument_is_a_guard(self):
+        # (1 + (x + y)^-1)^-1 has denominator x + y + 1, which never vanishes,
+        # but the inverted argument x + y does, and at x = y = 0 the left side
+        # is 1.  No single zero separates the sides, so the split must.
+        s = Add(X, Y)
+        lhs = Inv(Add(ONE, Inv(s)))
+        rhs = Mul(s, Inv(Add(s, ONE)))
         assert decide_iamd(lhs, rhs).verdict
         d = decide_iamdz_gil(lhs, rhs)
         assert not d.verdict
-        assert d.evidence.render() == "x = 0  gives  1 != 0"
+        assert d.evidence.render() == "x = 0, y = 0  gives  1 != 0"
 
     def test_inverse_free_identity_is_one_comparison(self, monkeypatch):
         import meadows.decide
@@ -715,7 +700,7 @@ class TestGilSplitGuards:
         assert 2 ** len(pairs) > meadows.decide._GUARD_FAMILY_LIMIT
         t, u = Mul(total, Inv(total)), ONE
         d = decide_iamdz_gil(t, u)
-        verdict, env = exhaustive_gil(t, u, meadows.decide._ZERO_PATTERN_LIMIT + 1)
+        verdict, env = exhaustive_gil(t, u, 2 * len(pairs) + 1)
         assert (d.verdict, d.evidence.assignment) == (verdict, env)
         # x * x^-1 * x = x holds at every zero set.
         assert decide_iamdz_gil(Mul(t, total), total).verdict
@@ -742,12 +727,10 @@ class TestCyclicFamily:
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_agrees_with_every_zero_set(self, monkeypatch, n: int):
-        import meadows.decide
-
         atom_matches = record_atom_checks(monkeypatch)
         lhs, rhs = cyclic_pair(n)
         d = decide_iamdz_gil(lhs, rhs)
-        assert exhaustive_gil(lhs, rhs, meadows.decide._ZERO_PATTERN_LIMIT + 1) == (True, None)
+        assert exhaustive_gil(lhs, rhs, n + 1) == (True, None)
         assert d.verdict
         assert isinstance(d.evidence, RecursionTrace)
         assert len(d.evidence.steps) == 2**n
@@ -848,7 +831,7 @@ def sum_of_units(n: int) -> tuple[Term, Term]:
 
 class TestPreSearchOrder:
     """The 0/1 points with at most one zero come before the atom check, and
-    the other zero patterns after it."""
+    the split after it."""
 
     @pytest.mark.parametrize("divisive", [False, True])
     def test_atom_check_skips_the_exponential_search(self, monkeypatch, divisive: bool):
@@ -868,7 +851,7 @@ class TestPreSearchOrder:
             d = decide_iamdz_gil(lhs, rhs)
         assert d.verdict
         assert isinstance(d.evidence, MatchedNormals)
-        # All ones and each single zero, not the first 257 of the 1024 zero sets.
+        # All ones and each single zero, and no other of the 1024 zero sets.
         assert len(folds) == 2 * (n + 1)
         assert atom_matches == [True]
 
@@ -888,17 +871,28 @@ class TestPreSearchOrder:
         assert not atom_matches
 
     def test_two_zeros_refute_after_the_atom_check(self, monkeypatch):
-        import meadows.decide
-
         atom_matches = record_atom_checks(monkeypatch)
         s = Add(X, Y)
         t, u = Mul(s, Inv(s)), ONE
         d = decide_iamdz_gil(t, u)
-        verdict, env = exhaustive_gil(t, u, meadows.decide._ZERO_PATTERN_LIMIT + 1)
+        verdict, env = exhaustive_gil(t, u, 3)
         assert not verdict
         assert env == {"x": Fraction(0), "y": Fraction(0)}
         assert d == Decision(False, Counterexample(env, Fraction(0), Fraction(1)))
         assert atom_matches == [False]
+
+    def test_split_refutes_past_the_single_zeros(self):
+        # The sides first differ at x = y = z = 0 (1 against 0), but they are
+        # inverse-free, so the split has one case, which fails on its cross
+        # products.
+        z = Var("z")
+        t = Add(Add(Add(ONE, Mul(X, Y)), Mul(Y, z)), Mul(z, X))
+        u = Add(Add(Add(X, Y), z), Mul(Mul(X, Y), z))
+        d = decide_iamdz_gil(t, u)
+        assert (d.verdict, d.evidence.assignment) == exhaustive_gil(t, u, 4)
+        assert d.evidence.render() == "x = 2, y = 2, z = 2  gives  13 != 14"
+        values = (eval_total(s, d.evidence.assignment, Carrier.NON_NEGATIVE) for s in (t, u))
+        assert tuple(values) == (d.evidence.lhs_value, d.evidence.rhs_value)
 
 
 class TestDecideClosed:
