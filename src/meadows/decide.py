@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import compress
+from itertools import chain, combinations, compress, islice
 from typing import Callable, Container, NamedTuple, Union
 
 from .evaluate import Carrier, _evaluate, eval_total
@@ -235,7 +235,9 @@ def decide_iamdz_gil(t: Term, u: Term, max_monomials: int = DEFAULT_MAX_MONOMIAL
     search past the single zeros: each case it decides there evaluates
     its sides at its own all-ones point before comparing them
     (``decide_iamd``).  As the check proves no false equation, the order
-    changes no verdict.
+    changes no verdict.  A case past ``max_monomials`` raises ``SizeLimit``
+    unless one of the first ``max_monomials`` 0/1 points with two or more
+    zeros, in the split's order, refutes.
     """
     variables, sig = sorted({*free_vars(t), *free_vars(u)}), SignatureId.IAMDZ
     if not variables:
@@ -297,7 +299,14 @@ def decide_iamdz_gil(t: Term, u: Term, max_monomials: int = DEFAULT_MAX_MONOMIAL
             else:
                 # The pre-search already compared the single zeros' sides at all-ones.
                 decide = _decide_zero_free if mask.bit_count() <= 1 else decide_iamd
-                decision = decide(s, s2, max_monomials)
+                try:
+                    decision = decide(s, s2, max_monomials)
+                except SizeLimit:
+                    # 0/1 points with two or more zeros may still refute, in split order.
+                    sets = chain.from_iterable(combinations(variables, k) for k in range(2, n + 1))
+                    if refuted := _refuted_at(t, u, sig, islice(sets, max_monomials), variables):
+                        return refuted
+                    raise
                 if not decision.verdict:
                     assert isinstance(decision.evidence, Counterexample)
                     return _refutation(t, u, variables, decision.evidence.assignment)

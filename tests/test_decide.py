@@ -35,6 +35,7 @@ from meadows import (
     free_vars,
     inv_to_div,
     numeral,
+    parse,
     power,
     split_inverse,
     substitute,
@@ -893,6 +894,21 @@ class TestPreSearchOrder:
         assert d.evidence.render() == "x = 2, y = 2, z = 2  gives  13 != 14"
         values = (eval_total(s, d.evidence.assignment, Carrier.NON_NEGATIVE) for s in (t, u))
         assert tuple(values) == (d.evidence.lhs_value, d.evidence.rhs_value)
+
+    def test_case_past_the_bound_leaves_the_refutation_to_a_zero_one_point(self):
+        # P = (a + b + c + d + 1)^5 against its 126-monomial expansion P':
+        # case ∅ exceeds the bound of 100, yet x = y = 0 separates the sides.
+        p = power(reduce(Add, [Var(v) for v in "abcd"], ONE), 5)
+        expanded = parse(split_inverse(p).numerator.render()).term
+        units = Add(Mul(X, Inv(X)), Mul(Y, Inv(Y)))
+        t, u = Mul(p, units), Mul(expanded, Add(ONE, Mul(Mul(X, Inv(X)), Mul(Y, Inv(Y)))))
+        d = decide_iamdz_gil(t, u, max_monomials=100)
+        env = {**dict.fromkeys("abcd", Fraction(1)), "x": Fraction(0), "y": Fraction(0)}
+        assert d == Decision(False, Counterexample(env, Fraction(0), Fraction(3125)))
+        # A true twin finds no such point, so the bound still stops it.
+        s = Add(X, Y)
+        with pytest.raises(SizeLimit):
+            decide_iamdz_gil(t, Mul(u, Mul(s, Inv(s))), max_monomials=100)
 
 
 class TestDecideClosed:
