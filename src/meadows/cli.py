@@ -125,8 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", parents=[formatted], help="exact evaluation")
     p.add_argument("expr")
     p.add_argument("--assign", default="", metavar="X=Q,...", help="variable assignment")
-    p.add_argument("--carrier", choices=[c.value for c in Carrier], help="default all")
-    p.add_argument("--punch", choices=[p.value for p in PunchId], help="partial semantics")
+    semantics = p.add_mutually_exclusive_group()
+    semantics.add_argument("--carrier", choices=[c.value for c in Carrier], help="default all")
+    semantics.add_argument("--punch", choices=[p.value for p in PunchId], help="partial semantics")
 
     p = sub.add_parser("decide", parents=[bounded], help="decide a term equation")
     p.add_argument("lhs")
@@ -147,6 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr")
     p.add_argument("--to", choices=("inv", "div"), required=True)
 
+    for p in sub.choices.values():
+        p.set_defaults(usage_error=p.error)  # reports under the subcommand's usage
     return top
 
 
@@ -327,14 +330,13 @@ def _bound(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extras = build_parser().parse_known_args(argv)
+    if extras:
+        args.usage_error(f"unrecognized arguments: {' '.join(extras)}")
     closed = args.command == "decide" and isinstance(args.theory, SignatureId)
     if closed and args.max_monomials is not None:
         # Closed equations are decided by exact evaluation, which forms no polynomial.
-        parser.error("--max-monomials does not apply to closed:SIG theories")
-    if args.command == "eval" and args.punch is not None and args.carrier is not None:
-        parser.error("--carrier does not apply to --punch, which evaluates over nonneg")
+        args.usage_error("--max-monomials does not apply to closed:SIG theories")
     try:
         return _COMMANDS[args.command](args)
     except (MeadowError, ValueError) as exc:

@@ -55,7 +55,7 @@ from .normalize import (
     _cross_products,
     _restrict,
     closed_normal,
-    split_inverse,  # noqa: F401  (bench/tracing.py wraps decide.split_inverse)
+    split_inverse,
     zero_elim,
 )
 from .terms import (
@@ -67,9 +67,11 @@ from .terms import (
     Term,
     Var,
     Zero,
+    _unchecked_var,
     conforms,
     fold,
     free_vars,
+    rebuild,
     substitute,  # noqa: F401  (bench/tracing.py wraps decide.substitute)
 )
 from .theories import TheoryId
@@ -228,10 +230,9 @@ def decide_iamdz_gil(t: Term, u: Term, max_monomials: int = DEFAULT_MAX_MONOMIAL
     The split is the last of three steps.  First the sides are evaluated
     at the n + 1 points with at most one variable 0.  Then, only if the
     split would decide more than one case, the zero-eliminated sides are
-    compared with each inverse an opaque atom, named by its inverse text
-    such as ``(x + y)^-1``, one per atom normal form of its argument;
-    matched polynomials prove the equation by the semiring laws and
-    congruence, and are the evidence.  Last comes the split, the only
+    compared with each inverse an opaque atom (``_atomized``); matched
+    polynomials prove the equation by the semiring laws and congruence,
+    and are the evidence.  Last comes the split, the only
     search past the single zeros: each case it decides there evaluates
     its sides at its own all-ones point before comparing them
     (``decide_iamd``).  As the check proves no false equation, the order
@@ -266,7 +267,7 @@ def decide_iamdz_gil(t: Term, u: Term, max_monomials: int = DEFAULT_MAX_MONOMIAL
     if root_guards:
         # Past the bound the split, which expands no atom, may still decide.
         try:
-            lhs, rhs = _cross_products(*root, max_monomials, opaque=True)
+            lhs, rhs = _cross_products(*(_atomized(s, max_monomials) for s in root), max_monomials)
             if lhs == rhs:
                 return Decision(True, MatchedNormals(lhs, rhs))
         except SizeLimit:
@@ -324,6 +325,19 @@ def decide_iamdz_gil(t: Term, u: Term, max_monomials: int = DEFAULT_MAX_MONOMIAL
         # A single case, as for an inverse-free equation: no case split.
         return steps[0].decision
     return Decision(True, RecursionTrace(tuple(steps)))
+
+
+def _atomized(t: Term, max_monomials: int) -> Term:
+    """Zero-free ``t`` with each inverse an opaque atom: a leaf named by the
+    inverse text of its argument's normal form, such as ``(x + y)^-1``."""
+
+    def visit(node: Term, *children: Term) -> Term:
+        if node.__class__ is not Inv:
+            return rebuild(node, *children)
+        text = split_inverse(children[0], max_monomials).numerator.render()
+        return _unchecked_var(f"({text})^-1" if " " in text or "*" in text else f"{text}^-1")
+
+    return fold(t, visit)
 
 
 def _guards(pair: tuple[Term, Term], bit: dict[str, int]) -> set[int]:

@@ -310,9 +310,7 @@ def split_inverse(t: Term, max_monomials: int = DEFAULT_MAX_MONOMIALS) -> PolyFr
     return PolyFraction(_expand(num, max_monomials), _expand(den, max_monomials))
 
 
-def _factored(
-    t: Term, names: tuple[str, ...], max_monomials: int, atoms: dict | None = None
-) -> tuple[_Factors, _Factors]:
+def _factored(t: Term, names: tuple[str, ...], max_monomials: int) -> tuple[_Factors, _Factors]:
     """Numerator and denominator factors of the zero-free term ``t``, whose
     variables are among the sorted ``names``.
 
@@ -320,9 +318,7 @@ def _factored(
     only a sum builds polynomials: it expands each operand to one
     numerator and one denominator and adds the two fractions.  All leaves
     share one layout, over ``names``, so the polynomials repack only to
-    widen their fields.  Given ``atoms``, an inverse is instead an opaque
-    atom, a variable named by its inverse text such as ``(x + y)^-1``,
-    which ``atoms`` keys by the expanded normal form of its argument.
+    widen their fields.
     """
     if max_monomials < 1:
         raise ValueError(f"max_monomials must be at least 1, not {max_monomials}")
@@ -334,15 +330,7 @@ def _factored(
         if kind is Mul:
             return a[0] + b[0], a[1] + b[1]
         if kind is Inv:
-            if atoms is None:
-                return a[1], a[0]
-            arg = _expand(a[0], max_monomials)
-            if arg not in atoms:
-                text = arg.render()
-                atoms[arg] = PosPoly.variable(
-                    f"({text})^-1" if " " in text or "*" in text else f"{text}^-1"
-                )
-            return (atoms[arg],), ()
+            return a[1], a[0]
         if kind is Add:
             a_num, a_den = _expand(a[0], max_monomials), _expand(a[1], max_monomials)
             b_num, b_den = _expand(b[0], max_monomials), _expand(b[1], max_monomials)
@@ -392,22 +380,18 @@ def _expand(factors: _Factors, max_monomials: int) -> PosPoly:
     return heap[0][2]
 
 
-def _cross_products(
-    t: Term, u: Term, max_monomials: int, opaque: bool = False
-) -> tuple[PosPoly, PosPoly]:
+def _cross_products(t: Term, u: Term, max_monomials: int) -> tuple[PosPoly, PosPoly]:
     """The cross products t1*u2 and u1*t2 of the zero-free sides' fractions
     t1/t2 and u1/u2, each with the factors the two share cancelled.
 
     Positive polynomials are nonzero and polynomial rings over the
     integers have no zero divisors, so A*C = B*C exactly when A = B:
     cancelling keeps the comparison exact, and only the remainders are
-    expanded.  With ``opaque``, every inverse is an atom of ``_factored``,
-    shared by the two sides, so both denominators are 1.
+    expanded.
     """
     names = tuple(sorted({*free_vars(t), *free_vars(u)}))
-    atoms = {} if opaque else None
-    t_num, t_den = _factored(t, names, max_monomials, atoms)
-    u_num, u_den = _factored(u, names, max_monomials, atoms)
+    t_num, t_den = _factored(t, names, max_monomials)
+    u_num, u_den = _factored(u, names, max_monomials)
     right = list(u_num + t_den)
     left = []
     for factor in t_num + u_den:

@@ -149,6 +149,14 @@ _SET_LEFT = _Binary.left.__set__
 _SET_RIGHT = _Binary.right.__set__
 
 
+def _unchecked_var(name: str) -> Var:
+    """A ``Var`` without the name check, for a leaf such as ``(x + y)^-1`` no name can be."""
+    var = object.__new__(Var)
+    _SET_NAME(var, name)
+    _SET_HASH(var, hash((Var, name)))
+    return var
+
+
 class Add(_Binary):
     __slots__ = ()
 

@@ -376,6 +376,7 @@ def test_option_the_subcommand_does_not_read_is_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
+    assert capsys.readouterr().err.startswith(f"usage: meadows {argv[0]} ")
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ from functools import reduce
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meadows import (
@@ -31,6 +31,7 @@ from meadows import (
     decide_divisive,
     decide_iamd,
     decide_iamdz_gil,
+    div_to_inv,
     eval_total,
     free_vars,
     inv_to_div,
@@ -327,20 +328,28 @@ class TestZeroOneRefutations:
             elif not d.verdict:
                 assert any(v != 1 for v in d.evidence.assignment.values())
 
+    # At seeds 234 (iamdz) and 1459 (damdz) the first separating point has
+    # two zeros, and an earlier case of the split refutes elsewhere.
     @given(st.integers(0, 10**6))
+    @example(234)
+    @example(1459)
     @settings(max_examples=100, deadline=None)
     def test_first_separating_zero_pattern(self, seed: int):
         rng = random.Random(seed)
         for sig in (SignatureId.IAMDZ, SignatureId.DAMDZ):
             t, u = (random_term(rng, sig, 14, ("x", "y", "z")) for _ in range(2))
             if sig is SignatureId.IAMDZ:
-                d = decide_iamdz_gil(t, u)
+                d, s, s2 = decide_iamdz_gil(t, u), t, u
             else:
                 d = decide_divisive(t, u, TheoryId.RATDAZ_GIL)
+                s, s2 = div_to_inv(t), div_to_inv(u)
+            names = {*free_vars(t), *free_vars(u)}
+            verdict, env = exhaustive_gil(s, s2, len(names) + 1)
+            assert (d.verdict, None if d.verdict else d.evidence.assignment) == (verdict, env)
             separated = first_separating_zero_pattern(t, u)
-            if separated:
+            if separated and list(separated[0].values()).count(0) <= 1:
                 assert d == Decision(False, Counterexample(*separated))
-            elif not d.verdict:
+            elif not separated and not d.verdict:
                 assert any(v > 1 for v in d.evidence.assignment.values())
 
 
@@ -747,18 +756,24 @@ class TestCyclicFamily:
 
 
 def record_atom_checks(monkeypatch) -> list[bool]:
-    """Whether each atom check of ``decide_iamdz_gil`` matched, as it runs."""
+    """Whether each atom check of ``decide_iamdz_gil`` matched, as it runs:
+    the cross products of the last two atomized sides."""
     import meadows.decide
 
-    matches = []
-    cross_products = meadows.decide._cross_products
+    matches, sides = [], []
+    atomized, cross_products = meadows.decide._atomized, meadows.decide._cross_products
 
-    def recorded(*args, opaque=False):
-        lhs, rhs = cross_products(*args, opaque=opaque)
-        if opaque:
+    def atomize(*args):
+        sides.append(atomized(*args))
+        return sides[-1]
+
+    def recorded(t, u, max_monomials):
+        lhs, rhs = cross_products(t, u, max_monomials)
+        if sides[-2:] == [t, u]:
             matches.append(lhs == rhs)
         return lhs, rhs
 
+    monkeypatch.setattr(meadows.decide, "_atomized", atomize)
     monkeypatch.setattr(meadows.decide, "_cross_products", recorded)
     return matches
 
@@ -811,6 +826,17 @@ class TestAtomCheck:
         assert d.verdict
         assert isinstance(d.evidence, RecursionTrace)
         assert atom_matches == [False]
+
+    def test_atom_inside_an_atom(self):
+        # The outer atom is named by the inner one's text, whichever order its
+        # argument's sum is written in.
+        lhs = parse("(((x + y)^-1 + z)^-1 + x*x^-1) * (y + 1)").term
+        rhs = parse("(z + (y + x)^-1)^-1*y + (z + (x+y)^-1)^-1 + x^-1*x*y + x*x^-1").term
+        d = decide_iamdz_gil(lhs, rhs)
+        assert d.verdict
+        assert isinstance(d.evidence, MatchedNormals)
+        side = "x*x^-1*y + ((x + y)^-1 + z)^-1*y + x*x^-1 + ((x + y)^-1 + z)^-1"
+        assert d.evidence.render() == f"{side}  vs  {side}"
 
     def test_check_past_the_bound_leaves_the_verdict_to_the_split(self):
         # The atom of ((x + y + z)^10)^-1 expands (x + y + z)^10, 66 monomials,
