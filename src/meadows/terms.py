@@ -9,7 +9,8 @@ same tree type serves every signature.
 Every traversal in the package goes through ``nodes`` (every node,
 parents first, gathered on an explicit stack) or ``fold`` (bottom-up over
 that list), so terms of any depth can be hashed, compared, printed,
-evaluated and rewritten.  Each node caches its hash at construction.
+evaluated and rewritten.  Each node caches its hash at construction, and
+whether it holds a power chain, whose repeated factor ``fold`` folds once.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ class Term:
     __slots__ = ("_hash",)
     __match_args__: tuple[str, ...] = ()
     _arity = 0
+    _chain = False  # whether the tree holds a power-chain link (see ``fold``)
 
     def __init__(self):  # the constants
         _SET_HASH(self, hash((self.__class__,)))
@@ -121,17 +123,18 @@ class Var(Term):
 
 
 class _Unary(Term):
-    __slots__ = ("arg",)
+    __slots__ = ("arg", "_chain")
     __match_args__ = ("arg",)
     _arity = 1
 
     def __init__(self, arg: Term):
         _SET_ARG(self, arg)
         _SET_HASH(self, hash((self.__class__, arg._hash)))
+        _SET_UNARY_CHAIN(self, arg._chain)
 
 
 class _Binary(Term):
-    __slots__ = ("left", "right")
+    __slots__ = ("left", "right", "_chain")
     __match_args__ = ("left", "right")
     _arity = 2
 
@@ -139,6 +142,8 @@ class _Binary(Term):
         _SET_LEFT(self, left)
         _SET_RIGHT(self, right)
         _SET_HASH(self, hash((self.__class__, left._hash, right._hash)))
+        link = right._arity != 0 and left._arity == 2 and left.right is right
+        _SET_BINARY_CHAIN(self, left._chain or right._chain or link)
 
 
 # Slot writers for the constructors; ordinary assignment is refused.
@@ -147,6 +152,8 @@ _SET_NAME = Var.name.__set__
 _SET_ARG = _Unary.arg.__set__
 _SET_LEFT = _Binary.left.__set__
 _SET_RIGHT = _Binary.right.__set__
+_SET_UNARY_CHAIN = _Unary._chain.__set__
+_SET_BINARY_CHAIN = _Binary._chain.__set__
 
 
 def _unchecked_var(name: str) -> Var:
@@ -194,15 +201,51 @@ def nodes(t: Term) -> list[Term]:
     return order
 
 
+def _shared_nodes(t: Term) -> list[Term | None]:
+    """``nodes(t)`` with None for the right subtree of each link of a power chain."""
+    order: list = []
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if node._arity == 2:
+            left, right = node.left, node.right
+            stack.append(left)
+            if right._arity and left._arity == 2 and left.right is right:
+                order.append(None)
+            else:
+                stack.append(right)
+        elif node._arity:
+            stack.append(node.arg)
+    return order
+
+
 def fold(t: Term, visit: Callable[..., R]) -> R:
     """Bottom-up fold: ``visit(node, *child_results)`` at every node, children left to right.
 
     Nodes are visited in post-order, left subtree first, so effects and
     errors of ``visit`` happen in the order a left-to-right recursion
-    would meet them after its children.
+    would meet them after its children.  The base ``t`` of ``t^n`` is one
+    object, folded where such a recursion first meets it and reused by each
+    later link, so ``visit`` must give equal results for equal subtrees.
     """
     out: list = []
-    for node in reversed(nodes(t)):
+    if not t._chain:
+        for node in reversed(nodes(t)):
+            arity = node._arity
+            if arity == 2:
+                right = out.pop()
+                out[-1] = visit(node, out[-1], right)
+            elif arity:
+                out[-1] = visit(node, out[-1])
+            else:
+                out.append(visit(node))
+        return out[0]
+    right = None
+    for node in reversed(_shared_nodes(t)):
+        if node is None:  # the factor the node before, a left operand, used
+            out.append(right)
+            continue
         arity = node._arity
         if arity == 2:
             right = out.pop()
@@ -299,8 +342,8 @@ def power(t: Term, n: int) -> Term:
 
 def constructors(t: Term) -> set[type]:
     """The constructor classes occurring in ``t``; a variable is not a constructor."""
-    used = set(map(type, nodes(t)))
-    used.discard(Var)
+    used = set(map(type, _shared_nodes(t) if t._chain else nodes(t)))
+    used.difference_update((Var, type(None)))
     return used
 
 
@@ -328,7 +371,8 @@ def substitute(t: Term, var: str, replacement: Term) -> Term:
 
 def free_vars(t: Term) -> tuple[str, ...]:
     """The variables occurring in ``t``, sorted lexicographically."""
-    return tuple(sorted({node.name for node in nodes(t) if node.__class__ is Var}))
+    listing = _shared_nodes(t) if t._chain else nodes(t)
+    return tuple(sorted({node.name for node in listing if node.__class__ is Var}))
 
 
 def is_closed(t: Term) -> bool:
@@ -336,5 +380,5 @@ def is_closed(t: Term) -> bool:
 
 
 def term_size(t: Term) -> int:
-    """Number of constructor nodes (variables and constants count as 1)."""
+    """Number of node occurrences, leaves included: the base of ``t^n`` counts n times."""
     return len(nodes(t))

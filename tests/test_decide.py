@@ -757,19 +757,19 @@ class TestCyclicFamily:
 
 def record_atom_checks(monkeypatch) -> list[bool]:
     """Whether each atom check of ``decide_iamdz_gil`` matched, as it runs:
-    the cross products of the last two atomized sides."""
+    the cross products of the last atomized pair."""
     import meadows.decide
 
-    matches, sides = [], []
+    matches, pairs = [], []
     atomized, cross_products = meadows.decide._atomized, meadows.decide._cross_products
 
     def atomize(*args):
-        sides.append(atomized(*args))
-        return sides[-1]
+        pairs.append(atomized(*args))
+        return pairs[-1]
 
     def recorded(t, u, max_monomials):
         lhs, rhs = cross_products(t, u, max_monomials)
-        if sides[-2:] == [t, u]:
+        if pairs[-1:] == [(t, u)]:
             matches.append(lhs == rhs)
         return lhs, rhs
 

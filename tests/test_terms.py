@@ -1,15 +1,18 @@
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meadows import (
     ONE,
     ZERO,
     Add,
+    Carrier,
     Div,
     Inv,
+    MeadowError,
     Mul,
     Neg,
     One,
@@ -17,15 +20,29 @@ from meadows import (
     Var,
     Zero,
     ZeroNotInSignature,
+    classify_def,
     conforms,
+    decide_iamd,
+    decide_iamdz_gil,
+    div_to_inv,
+    eval_total,
     free_vars,
+    inv_to_div,
     is_closed,
     numeral,
+    parse_term,
     power,
+    render,
+    split_inverse,
     substitute,
+    term_from_dict,
     term_size,
+    term_to_dict,
+    zero_elim,
 )
-from termgen import random_term
+from meadows.normalize import _restrict
+from meadows.terms import fold, nodes, rebuild
+from termgen import random_env, random_term
 
 X, Y = Var("x"), Var("y")
 
@@ -158,3 +175,122 @@ def test_terms_are_immutable_and_hashable():
     assert hash(t) == hash(Mul(X, Inv(X)))
     with pytest.raises(AttributeError):
         t.left = ONE
+
+
+class TestPowerChains:
+    """``t^n`` repeats one ``t`` object, flagged at construction, and a fold
+    of a flagged term visits that object once."""
+
+    def test_flag_is_a_bool(self):
+        for text in ("(x + y)^2", "x^5", "x + y", "((x + y)^3)^-1", "1"):
+            assert type(parse_term(text)._chain) is bool
+
+    def test_flag_set_on_a_power_of_a_compound_base(self):
+        t = parse_term("(x + y)^2")
+        assert t._chain
+        assert t.right is t.left.right
+
+    def test_flag_passes_up_through_every_constructor(self):
+        assert parse_term("-((x + y)^2) + 1").left._chain
+        assert parse_term("1 + ((x + y)^2)^-1")._chain
+        assert parse_term("z / (x * y)^2")._chain
+
+    def test_flag_clear_on_a_leaf_base(self):
+        assert not parse_term("x^5")._chain
+        assert not parse_term("x^5 * y^2 + 1")._chain
+
+    def test_flag_clear_on_equal_factors_of_separate_parses(self):
+        t = parse_term("(x+1)*(x+1)")
+        assert not t._chain
+        assert t.left == t.right
+
+    @pytest.mark.parametrize(
+        "rewrite, text, expected",
+        [
+            (div_to_inv, "(x / y + 1)^3", "(x * y^-1 + 1)^3"),
+            (zero_elim, "(x + 0 + y)^4", "(x + y)^4"),
+            (lambda t: _restrict(t, {"y"}), "(x + y + z)^3", "(x + z)^3"),
+            (inv_to_div, "((x + 1)^-1 + y)^2", "(1 / (x + 1) + y)^2"),
+        ],
+    )
+    def test_rewrites_keep_one_base_object(self, rewrite, text, expected):
+        t = parse_term(text)
+        assert t._chain
+        out = rewrite(t)
+        assert render(out) == expected
+        assert out._chain
+        assert out.right is out.left.right
+        assert out == rewrite(term_from_dict(term_to_dict(t)))
+
+    def test_fold_visits_a_power_base_once(self):
+        t = parse_term("(x + y + 1)^6")
+        visits = Counter()
+        assert fold(t, lambda node, *children: visits.update([id(node)])) is None
+        objects = {id(node): node for node in nodes(t)}
+        assert visits.keys() == objects.keys()
+        # The constant 1 is one object, met as the chain's first factor and
+        # as the base's last summand; every other object is visited once.
+        assert visits.pop(id(ONE)) == 2
+        assert set(visits.values()) == {1}
+        assert len(visits) == 10
+        # nodes, and so equality and size, still see every occurrence.
+        assert term_size(t) == len(nodes(t)) == 37
+
+    def test_each_link_gets_its_factors_result(self):
+        t = parse_term("((x + y)^2 + 1)^3 * (x + y)^2")
+
+        def visit(node, *children):
+            arity = node._arity
+            operands = (node.left, node.right) if arity == 2 else (node.arg,) if arity else ()
+            assert children == tuple(map(render, operands))
+            return render(node)
+
+        assert fold(t, visit) == render(t)
+
+
+def _powered(rng: random.Random, sig: SignatureId):
+    """A generated term with at most two of its subterms raised to the power 2 or 3."""
+    budget = [2]
+
+    def visit(node, *children):
+        rebuilt = rebuild(node, *children)
+        if budget[0] and rng.random() < 0.3:
+            budget[0] -= 1
+            return power(rebuilt, rng.randint(2, 3))
+        return rebuilt
+
+    return fold(random_term(rng, sig, 10, ("x", "y", "z")), visit)
+
+
+def _outcome(f, *args):
+    """``("value", f(*args))``, or the type and text of the error it raises."""
+    try:
+        return "value", f(*args)
+    except MeadowError as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from([SignatureId.IAMDZ, SignatureId.IAMD, SignatureId.DAMDZ, SignatureId.IMD]),
+)
+@settings(max_examples=120, deadline=None)
+def test_shared_powers_give_the_results_of_unshared_copies(seed, sig):
+    rng = random.Random(seed)
+    t, u = _powered(rng, sig), _powered(rng, sig)
+    t2, u2, t3 = (term_from_dict(term_to_dict(s)) for s in (t, u, t))
+    assert (t2, u2) == (t, u)
+    assert not (t2._chain or u2._chain)
+    assert render(t) == render(t2)
+    for carrier in Carrier:
+        names = ("x", "y", "z") if rng.random() < 0.8 else ("x", "y")
+        env = random_env(rng, names, carrier)
+        assert _outcome(eval_total, t, env, carrier) == _outcome(eval_total, t2, env, carrier)
+    for f in (split_inverse, zero_elim, div_to_inv, inv_to_div, classify_def):
+        assert _outcome(f, t) == _outcome(f, t2)
+    for decide in (decide_iamd, decide_iamdz_gil):
+        for pair, copies in (((t, u), (t2, u2)), ((t, u2), (t2, u2)), ((t, t2), (t2, t3))):
+            kind, decision = _outcome(decide, *copies)
+            assert _outcome(decide, *pair) == (kind, decision)
+            if kind == "value":
+                assert decide(*pair).evidence.render() == decision.evidence.render()
