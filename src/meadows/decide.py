@@ -267,7 +267,7 @@ def decide_iamdz_gil(t: Term, u: Term, max_monomials: int = DEFAULT_MAX_MONOMIAL
     if root_guards:
         # Past the bound the split, which expands no atom, may still decide.
         try:
-            lhs, rhs = _cross_products(*_atomized(root, max_monomials), max_monomials)
+            lhs, rhs = _cross_products(*(_atomized(s, max_monomials) for s in root), max_monomials)
             if lhs == rhs:
                 return Decision(True, MatchedNormals(lhs, rhs))
         except SizeLimit:
@@ -327,22 +327,17 @@ def decide_iamdz_gil(t: Term, u: Term, max_monomials: int = DEFAULT_MAX_MONOMIAL
     return Decision(True, RecursionTrace(tuple(steps)))
 
 
-def _atomized(pair: tuple[Term, Term], max_monomials: int) -> tuple[Term, Term]:
-    """Zero-free ``pair`` with each inverse an opaque atom: a leaf named by the
-    inverse text of its argument's normal form, such as ``(x + y)^-1``, one per argument."""
-    atoms: dict[Term, Term] = {}
+def _atomized(t: Term, max_monomials: int) -> Term:
+    """Zero-free ``t`` with each inverse an opaque atom: a leaf named by the
+    inverse text of its argument's normal form, such as ``(x + y)^-1``."""
 
     def visit(node: Term, *children: Term) -> Term:
         if node.__class__ is not Inv:
             return rebuild(node, *children)
-        arg = children[0]
-        if arg not in atoms:
-            text = split_inverse(arg, max_monomials).numerator.render()
-            name = f"({text})^-1" if " " in text or "*" in text else f"{text}^-1"
-            atoms[arg] = _unchecked_var(name)
-        return atoms[arg]
+        text = split_inverse(children[0], max_monomials).numerator.render()
+        return _unchecked_var(f"({text})^-1" if " " in text or "*" in text else f"{text}^-1")
 
-    return fold(pair[0], visit), fold(pair[1], visit)
+    return fold(t, visit)
 
 
 def _guards(pair: tuple[Term, Term], bit: dict[str, int]) -> set[int]:

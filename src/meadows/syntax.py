@@ -331,6 +331,12 @@ _OP_NAMES = {cls: name for name, cls in _SERIAL_OPS.items()}
 
 
 def term_to_dict(t: Term) -> dict:
+    """``t`` as nested dicts, the JSON form ``term_from_dict`` reads.
+
+    One subterm object gives one dict at each of its places, such as the
+    base of ``t^n``, so copy the result before editing it in place.
+    """
+
     def visit(node: Term, *args: dict) -> dict:
         if node.__class__ is Var:
             return {"op": "var", "name": node.name}

@@ -9,8 +9,8 @@ same tree type serves every signature.
 Every traversal in the package goes through ``nodes`` (every node,
 parents first, gathered on an explicit stack) or ``fold`` (bottom-up over
 that list), so terms of any depth can be hashed, compared, printed,
-evaluated and rewritten.  Each node caches its hash at construction, and
-whether it holds a power chain, whose repeated factor ``fold`` folds once.
+evaluated and rewritten.  Each node caches its hash at construction.
+``t^n`` is ``1·t·…·t`` over one ``t`` object, which ``fold`` folds once.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ class Term:
     __slots__ = ("_hash",)
     __match_args__: tuple[str, ...] = ()
     _arity = 0
-    _chain = False  # whether the tree holds a power-chain link (see ``fold``)
 
     def __init__(self):  # the constants
         _SET_HASH(self, hash((self.__class__,)))
@@ -123,18 +122,17 @@ class Var(Term):
 
 
 class _Unary(Term):
-    __slots__ = ("arg", "_chain")
+    __slots__ = ("arg",)
     __match_args__ = ("arg",)
     _arity = 1
 
     def __init__(self, arg: Term):
         _SET_ARG(self, arg)
         _SET_HASH(self, hash((self.__class__, arg._hash)))
-        _SET_UNARY_CHAIN(self, arg._chain)
 
 
 class _Binary(Term):
-    __slots__ = ("left", "right", "_chain")
+    __slots__ = ("left", "right")
     __match_args__ = ("left", "right")
     _arity = 2
 
@@ -142,8 +140,6 @@ class _Binary(Term):
         _SET_LEFT(self, left)
         _SET_RIGHT(self, right)
         _SET_HASH(self, hash((self.__class__, left._hash, right._hash)))
-        link = right._arity != 0 and left._arity == 2 and left.right is right
-        _SET_BINARY_CHAIN(self, left._chain or right._chain or link)
 
 
 # Slot writers for the constructors; ordinary assignment is refused.
@@ -152,8 +148,6 @@ _SET_NAME = Var.name.__set__
 _SET_ARG = _Unary.arg.__set__
 _SET_LEFT = _Binary.left.__set__
 _SET_RIGHT = _Binary.right.__set__
-_SET_UNARY_CHAIN = _Unary._chain.__set__
-_SET_BINARY_CHAIN = _Binary._chain.__set__
 
 
 def _unchecked_var(name: str) -> Var:
@@ -201,22 +195,38 @@ def nodes(t: Term) -> list[Term]:
     return order
 
 
-def _shared_nodes(t: Term) -> list[Term | None]:
-    """``nodes(t)`` with None for the right subtree of each link of a power chain."""
+class _Reused:
+    """Stands in ``_shared_nodes`` for the right operand of a power-chain link."""
+
+    __slots__ = ()
+    _arity = -1
+
+
+_REUSED = _Reused()
+
+
+def _shared_nodes(t: Term) -> list:
+    """``nodes(t)`` with ``_REUSED`` for the right subtree of each power-chain link.
+
+    A link is a node whose right operand is not a leaf and is the same
+    object as its left operand's right operand, the shape ``power`` builds.
+    """
     order: list = []
     stack = [t]
+    pop, push, emit = stack.pop, stack.append, order.append
     while stack:
-        node = stack.pop()
-        order.append(node)
-        if node._arity == 2:
+        node = pop()
+        emit(node)
+        arity = node._arity
+        if arity == 2:
             left, right = node.left, node.right
-            stack.append(left)
+            push(left)
             if right._arity and left._arity == 2 and left.right is right:
-                order.append(None)
+                emit(_REUSED)
             else:
-                stack.append(right)
-        elif node._arity:
-            stack.append(node.arg)
+                push(right)
+        elif arity:
+            push(node.arg)
     return order
 
 
@@ -230,30 +240,18 @@ def fold(t: Term, visit: Callable[..., R]) -> R:
     later link, so ``visit`` must give equal results for equal subtrees.
     """
     out: list = []
-    if not t._chain:
-        for node in reversed(nodes(t)):
-            arity = node._arity
-            if arity == 2:
-                right = out.pop()
-                out[-1] = visit(node, out[-1], right)
-            elif arity:
-                out[-1] = visit(node, out[-1])
-            else:
-                out.append(visit(node))
-        return out[0]
     right = None
     for node in reversed(_shared_nodes(t)):
-        if node is None:  # the factor the node before, a left operand, used
-            out.append(right)
-            continue
         arity = node._arity
         if arity == 2:
             right = out.pop()
             out[-1] = visit(node, out[-1], right)
-        elif arity:
-            out[-1] = visit(node, out[-1])
-        else:
+        elif not arity:
             out.append(visit(node))
+        elif arity == 1:
+            out[-1] = visit(node, out[-1])
+        else:  # the right operand result of the link just visited, its left operand
+            out.append(right)
     return out[0]
 
 
@@ -342,8 +340,8 @@ def power(t: Term, n: int) -> Term:
 
 def constructors(t: Term) -> set[type]:
     """The constructor classes occurring in ``t``; a variable is not a constructor."""
-    used = set(map(type, _shared_nodes(t) if t._chain else nodes(t)))
-    used.difference_update((Var, type(None)))
+    used = set(map(type, _shared_nodes(t)))
+    used.difference_update((Var, _Reused))
     return used
 
 
@@ -371,8 +369,7 @@ def substitute(t: Term, var: str, replacement: Term) -> Term:
 
 def free_vars(t: Term) -> tuple[str, ...]:
     """The variables occurring in ``t``, sorted lexicographically."""
-    listing = _shared_nodes(t) if t._chain else nodes(t)
-    return tuple(sorted({node.name for node in listing if node.__class__ is Var}))
+    return tuple(sorted({node.name for node in _shared_nodes(t) if node.__class__ is Var}))
 
 
 def is_closed(t: Term) -> bool:

@@ -757,19 +757,19 @@ class TestCyclicFamily:
 
 def record_atom_checks(monkeypatch) -> list[bool]:
     """Whether each atom check of ``decide_iamdz_gil`` matched, as it runs:
-    the cross products of the last atomized pair."""
+    the cross products of the last two atomized sides."""
     import meadows.decide
 
-    matches, pairs = [], []
+    matches, sides = [], []
     atomized, cross_products = meadows.decide._atomized, meadows.decide._cross_products
 
     def atomize(*args):
-        pairs.append(atomized(*args))
-        return pairs[-1]
+        sides.append(atomized(*args))
+        return sides[-1]
 
     def recorded(t, u, max_monomials):
         lhs, rhs = cross_products(t, u, max_monomials)
-        if pairs[-1:] == [(t, u)]:
+        if sides[-2:] == [t, u]:
             matches.append(lhs == rhs)
         return lhs, rhs
 

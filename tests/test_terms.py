@@ -41,7 +41,7 @@ from meadows import (
     zero_elim,
 )
 from meadows.normalize import _restrict
-from meadows.terms import fold, nodes, rebuild
+from meadows.terms import constructors, fold, nodes, rebuild
 from termgen import random_env, random_term
 
 X, Y = Var("x"), Var("y")
@@ -177,32 +177,36 @@ def test_terms_are_immutable_and_hashable():
         t.left = ONE
 
 
+def _visits(t) -> int:
+    """How many times a fold over ``t`` calls ``visit``."""
+    visited = []
+    fold(t, lambda node, *children: visited.append(node))
+    return len(visited)
+
+
 class TestPowerChains:
-    """``t^n`` repeats one ``t`` object, flagged at construction, and a fold
-    of a flagged term visits that object once."""
+    """``t^n`` repeats one ``t`` object, and a fold visits that object once
+    when it is not a leaf."""
 
-    def test_flag_is_a_bool(self):
-        for text in ("(x + y)^2", "x^5", "x + y", "((x + y)^3)^-1", "1"):
-            assert type(parse_term(text)._chain) is bool
-
-    def test_flag_set_on_a_power_of_a_compound_base(self):
+    def test_a_power_of_a_compound_base_folds_its_base_once(self):
         t = parse_term("(x + y)^2")
-        assert t._chain
         assert t.right is t.left.right
+        assert (_visits(t), term_size(t)) == (6, 9)
 
-    def test_flag_passes_up_through_every_constructor(self):
-        assert parse_term("-((x + y)^2) + 1").left._chain
-        assert parse_term("1 + ((x + y)^2)^-1")._chain
-        assert parse_term("z / (x * y)^2")._chain
+    def test_a_power_inside_every_constructor_folds_its_base_once(self):
+        for text in ("-((x + y)^2) + 1", "1 + ((x + y)^2)^-1", "z / (x * y)^2"):
+            t = parse_term(text)
+            assert _visits(t) == term_size(t) - 3
 
-    def test_flag_clear_on_a_leaf_base(self):
-        assert not parse_term("x^5")._chain
-        assert not parse_term("x^5 * y^2 + 1")._chain
+    def test_a_leaf_base_is_visited_at_each_place(self):
+        for text in ("x^5", "x^5 * y^2 + 1"):
+            t = parse_term(text)
+            assert _visits(t) == term_size(t)
 
-    def test_flag_clear_on_equal_factors_of_separate_parses(self):
+    def test_equal_factors_of_separate_parses_are_each_visited(self):
         t = parse_term("(x+1)*(x+1)")
-        assert not t._chain
-        assert t.left == t.right
+        assert t.left == t.right and t.left is not t.right
+        assert _visits(t) == term_size(t)
 
     @pytest.mark.parametrize(
         "rewrite, text, expected",
@@ -215,11 +219,10 @@ class TestPowerChains:
     )
     def test_rewrites_keep_one_base_object(self, rewrite, text, expected):
         t = parse_term(text)
-        assert t._chain
         out = rewrite(t)
         assert render(out) == expected
-        assert out._chain
         assert out.right is out.left.right
+        assert _visits(out) < term_size(out)
         assert out == rewrite(term_from_dict(term_to_dict(t)))
 
     def test_fold_visits_a_power_base_once(self):
@@ -280,8 +283,9 @@ def test_shared_powers_give_the_results_of_unshared_copies(seed, sig):
     t, u = _powered(rng, sig), _powered(rng, sig)
     t2, u2, t3 = (term_from_dict(term_to_dict(s)) for s in (t, u, t))
     assert (t2, u2) == (t, u)
-    assert not (t2._chain or u2._chain)
+    assert _visits(t2) == term_size(t2)
     assert render(t) == render(t2)
+    assert (free_vars(t), constructors(t)) == (free_vars(t2), constructors(t2))
     for carrier in Carrier:
         names = ("x", "y", "z") if rng.random() < 0.8 else ("x", "y")
         env = random_env(rng, names, carrier)
