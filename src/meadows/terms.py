@@ -6,11 +6,12 @@ inverse, and division.  Individual signatures permit only a subset of
 these constructors; ``conforms`` checks membership dynamically so the
 same tree type serves every signature.
 
-Every traversal in the package goes through ``nodes`` (every node,
+Every traversal in the package goes through ``nodes`` (the nodes,
 parents first, gathered on an explicit stack) or ``fold`` (bottom-up over
-that list), so terms of any depth can be hashed, compared, printed,
-evaluated and rewritten.  Each node caches its hash at construction.
-``t^n`` is ``1·t·…·t`` over one ``t`` object, which ``fold`` folds once.
+that list), so terms of any depth can be hashed, printed, evaluated and
+rewritten; equality walks both trees in step on a stack of its own.
+Each node caches its hash at construction.  ``t^n`` is ``1·t·…·t`` over
+one ``t`` object, which ``nodes`` lists once and ``fold`` folds once.
 """
 
 from __future__ import annotations
@@ -49,18 +50,29 @@ class Term:
         return self._hash
 
     def __eq__(self, other: object) -> bool:
+        """Both trees walked in step on an explicit stack; a pair of one
+        object is equal without a walk, so a shared subtree is skipped."""
         if self is other:
             return True
         if not isinstance(other, Term):
             return NotImplemented
-        if self._hash != other._hash:
-            return False
-        # Equal node sequences with equal arities rebuild the same tree.
-        return all(
-            a is b or a.__class__ is b.__class__ and a._hash == b._hash
-            and (a.__class__ is not Var or a.name == b.name)
-            for a, b in zip(nodes(self), nodes(other))
-        )
+        stack = [(self, other)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            a, b = pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__ or a._hash != b._hash:
+                return False
+            arity = a._arity
+            if arity == 2:
+                push((a.right, b.right))
+                push((a.left, b.left))
+            elif arity:
+                push((a.arg, b.arg))
+            elif a.__class__ is Var and a.name != b.name:
+                return False
+        return True
 
     def __repr__(self) -> str:
         # The fold nests tuples of strings and one pass joins them, so the
@@ -178,25 +190,8 @@ class Div(_Binary):
     __slots__ = ()
 
 
-def nodes(t: Term) -> list[Term]:
-    """Every node occurrence of ``t``, each before its children (the right subtree first)."""
-    order: list[Term] = []
-    stack = [t]
-    pop, push, emit = stack.pop, stack.append, order.append
-    while stack:
-        node = pop()
-        emit(node)
-        arity = node._arity
-        if arity == 2:
-            push(node.left)
-            push(node.right)
-        elif arity:
-            push(node.arg)
-    return order
-
-
 class _Reused:
-    """Stands in ``_shared_nodes`` for the right operand of a power-chain link."""
+    """Stands in ``nodes`` for the right operand of a power-chain link."""
 
     __slots__ = ()
     _arity = -1
@@ -205,11 +200,11 @@ class _Reused:
 _REUSED = _Reused()
 
 
-def _shared_nodes(t: Term) -> list:
-    """``nodes(t)`` with ``_REUSED`` for the right subtree of each power-chain link.
+def nodes(t: Term) -> list:
+    """The nodes of ``t``, parents first, with ``_REUSED`` for the right subtree of each link.
 
-    A link is a node whose right operand is not a leaf and is the same
-    object as its left operand's right operand, the shape ``power`` builds.
+    A power-chain link is a node whose right operand is not a leaf and is
+    the same object as its left operand's right operand, as ``power`` builds.
     """
     order: list = []
     stack = [t]
@@ -236,12 +231,12 @@ def fold(t: Term, visit: Callable[..., R]) -> R:
     Nodes are visited in post-order, left subtree first, so effects and
     errors of ``visit`` happen in the order a left-to-right recursion
     would meet them after its children.  The base ``t`` of ``t^n`` is one
-    object, folded where such a recursion first meets it and reused by each
-    later link, so ``visit`` must give equal results for equal subtrees.
+    object, folded where such a recursion first meets it and reused at each
+    later link's ``_REUSED``, so ``visit`` must give equal results for equal subtrees.
     """
     out: list = []
     right = None
-    for node in reversed(_shared_nodes(t)):
+    for node in reversed(nodes(t)):
         arity = node._arity
         if arity == 2:
             right = out.pop()
@@ -340,7 +335,7 @@ def power(t: Term, n: int) -> Term:
 
 def constructors(t: Term) -> set[type]:
     """The constructor classes occurring in ``t``; a variable is not a constructor."""
-    used = set(map(type, _shared_nodes(t)))
+    used = set(map(type, nodes(t)))
     used.difference_update((Var, _Reused))
     return used
 
@@ -369,7 +364,7 @@ def substitute(t: Term, var: str, replacement: Term) -> Term:
 
 def free_vars(t: Term) -> tuple[str, ...]:
     """The variables occurring in ``t``, sorted lexicographically."""
-    return tuple(sorted({node.name for node in _shared_nodes(t) if node.__class__ is Var}))
+    return tuple(sorted({node.name for node in nodes(t) if node.__class__ is Var}))
 
 
 def is_closed(t: Term) -> bool:
@@ -378,4 +373,4 @@ def is_closed(t: Term) -> bool:
 
 def term_size(t: Term) -> int:
     """Number of node occurrences, leaves included: the base of ``t^n`` counts n times."""
-    return len(nodes(t))
+    return fold(t, lambda node, *children: 1 + sum(children))

@@ -656,7 +656,8 @@ class TestGilSplitGuards:
             d = decide_iamdz_gil(t, u)
             names = sorted({*free_vars(t), *free_vars(u)})
             # One search, over all ones and each single zero; past them, the split.
-            assert searches == ([[(), *zip(names)]] if names else [])
+            # A closed pair searches its one point, then compares its values.
+            assert searches == [[(), *zip(names)]]
             verdict, env = exhaustive_gil(t, u, len(names) + 1)
             assert d.verdict == verdict, (t, u)
             if not verdict:

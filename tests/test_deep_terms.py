@@ -34,6 +34,7 @@ from meadows import (
     NotClosed,
     NotInSignature,
     NumeralStyle,
+    One,
     PosPoly,
     PunchId,
     SchemaError,
@@ -42,6 +43,7 @@ from meadows import (
     TheoryId,
     UNDEFINED,
     Var,
+    Zero,
     classify_def,
     closed_normal,
     conforms,
@@ -73,6 +75,7 @@ from meadows import (
 )
 from meadows.cli import main
 from meadows.evaluate import _REDUCE_BITS, _evaluate
+from meadows.terms import _SET_HASH
 
 DEPTH = 10**4
 DECIDE_DEPTH = 3000
@@ -122,6 +125,27 @@ def test_hash_eq_repr(deep):
     law = Equation(t, copy)
     assert law == Equation(copy, t) and hash(law) == hash(Equation(copy, t))
     assert law.render() == f"{render(t)} = {render(t)}"
+
+
+def hash_twins(a, b, n: int):
+    """``x / -(…)`` nested n times over each of the leaves ``a`` and ``b``,
+    every node of the second tree given the cached hash of the first's."""
+    _SET_HASH(b, a._hash)
+    for _ in range(n):
+        for make in (Neg, lambda s: Div(X, s)):
+            a, b = make(a), make(b)
+            _SET_HASH(b, a._hash)
+    return a, b
+
+
+@pytest.mark.parametrize("leaves", [lambda: (X, Var("y")), lambda: (Zero(), One())],
+                         ids=["name", "class"])
+def test_equal_hashes_are_compared_down_to_the_leaves(leaves):
+    # Only the leaves at depth 10^4 tell the trees apart, by a variable name
+    # or by a class, so equality must reach them without recursing.
+    t, u = hash_twins(*leaves(), DEPTH // 2)
+    assert hash(t) == hash(u)
+    assert t != u and u != t
 
 
 def test_structure_functions(deep):

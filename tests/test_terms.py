@@ -41,7 +41,7 @@ from meadows import (
     zero_elim,
 )
 from meadows.normalize import _restrict
-from meadows.terms import constructors, fold, nodes, rebuild
+from meadows.terms import constructors, fold, rebuild
 from termgen import random_env, random_term
 
 X, Y = Var("x"), Var("y")
@@ -184,6 +184,11 @@ def _visits(t) -> int:
     return len(visited)
 
 
+def _operands(node) -> tuple:
+    arity = node._arity
+    return (node.left, node.right) if arity == 2 else (node.arg,) if arity else ()
+
+
 class TestPowerChains:
     """``t^n`` repeats one ``t`` object, and a fold visits that object once
     when it is not a leaf."""
@@ -229,23 +234,25 @@ class TestPowerChains:
         t = parse_term("(x + y + 1)^6")
         visits = Counter()
         assert fold(t, lambda node, *children: visits.update([id(node)])) is None
-        objects = {id(node): node for node in nodes(t)}
+        objects, stack = {}, [t]
+        while stack:
+            node = stack.pop()
+            objects[id(node)] = node
+            stack.extend(_operands(node))
         assert visits.keys() == objects.keys()
         # The constant 1 is one object, met as the chain's first factor and
         # as the base's last summand; every other object is visited once.
         assert visits.pop(id(ONE)) == 2
         assert set(visits.values()) == {1}
         assert len(visits) == 10
-        # nodes, and so equality and size, still see every occurrence.
-        assert term_size(t) == len(nodes(t)) == 37
+        # The size still counts every occurrence.
+        assert term_size(t) == 37
 
     def test_each_link_gets_its_factors_result(self):
         t = parse_term("((x + y)^2 + 1)^3 * (x + y)^2")
 
         def visit(node, *children):
-            arity = node._arity
-            operands = (node.left, node.right) if arity == 2 else (node.arg,) if arity else ()
-            assert children == tuple(map(render, operands))
+            assert children == tuple(map(render, _operands(node)))
             return render(node)
 
         assert fold(t, visit) == render(t)
@@ -284,6 +291,7 @@ def test_shared_powers_give_the_results_of_unshared_copies(seed, sig):
     t2, u2, t3 = (term_from_dict(term_to_dict(s)) for s in (t, u, t))
     assert (t2, u2) == (t, u)
     assert _visits(t2) == term_size(t2)
+    assert term_size(t) == term_size(t2)
     assert render(t) == render(t2)
     assert (free_vars(t), constructors(t)) == (free_vars(t2), constructors(t2))
     for carrier in Carrier:
