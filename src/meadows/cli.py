@@ -333,6 +333,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args, extras = build_parser().parse_known_args(argv)
     if extras:
         args.usage_error(f"unrecognized arguments: {' '.join(extras)}")
+    for name, value in vars(args).items():
+        # argparse 3.10 to 3.13.0 leaves a positional of only a trailing '--' as [].
+        if isinstance(value, list):
+            args.usage_error(f"the following arguments are required: {name}")
     closed = args.command == "decide" and isinstance(args.theory, SignatureId)
     if closed and args.max_monomials is not None:
         # Closed equations are decided by exact evaluation, which forms no polynomial.

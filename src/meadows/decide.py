@@ -242,7 +242,11 @@ def decide_iamdz_gil(t: Term, u: Term, max_monomials: int = DEFAULT_MAX_MONOMIAL
     """
     variables, sig = sorted({*free_vars(t), *free_vars(u)}), SignatureId.IAMDZ
     if not variables:
-        return _refuted_at(t, u, sig, [()], []) or decide_closed(t, u, sig)
+        # A closed equation is decided by its sides' exact values, each evaluated once.
+        point, allowed, refuse = _zero_one(()), sig.constructors, _not_in(sig)
+        lhs, rhs = (Fraction(*_evaluate(side, point, allowed, refuse)[:2]) for side in (t, u))
+        evidence = MatchedNormals(lhs, rhs) if lhs == rhs else Counterexample({}, lhs, rhs)
+        return Decision(lhs == rhs, evidence)
     # A derivable equation holds at every non-negative point, so any
     # separating 0/1 point refutes it outright, simplest points first.
     if refuted := _refuted_at(t, u, sig, [(), *zip(variables)], variables):

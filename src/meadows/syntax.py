@@ -14,7 +14,10 @@ the abstract syntax never stores literals or exponents.  The tree nodes
 that this expansion builds in one input are bounded (``_EXPANSION_BUDGET``,
 nested powers multiplying); past the bound the parser raises ParseError
 at the literal or exponent.  Identifiers match [a-z][a-z0-9_]*; "inv" is
-reserved for the function form of the inverse.
+reserved for the function form of the inverse.  Blanks are space, tab,
+carriage return and newline; each line ends at a newline.  One regular
+expression scans the text; tokens keep their offset, and the 1-based line
+and column of an error or of the parsed span are worked out from offsets.
 
 The printer emits minimal parentheses under the same precedence table;
 parsing its output reproduces the term exactly.  By default maximal
@@ -66,41 +69,29 @@ class ParsedInput(NamedTuple):
 class _Token(NamedTuple):
     kind: str
     text: str
-    line: int
-    column: int
+    start: int  # offset in the source text
 
 
-_TOKEN_RE = re.compile(r"[a-z][a-z0-9_]*|[0-9]+|[()+*/^-]")
-_WHITESPACE = " \t\r\n"
+# Blanks, then a token, one other character, or the end.  After the blanks
+# one of these always matches, so the scan covers every character.
+_SCAN = re.compile(
+    r"[ \t\r\n]*(?:(?P<ident>[a-z][a-z0-9_]*)|(?P<nat>[0-9]+)|(?P<op>[()+*/^-])|(?P<other>.)|\Z)"
+)
+
+
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of ``offset`` in ``text``."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    line, column = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch in _WHITESPACE:
-            if ch == "\n":
-                line += 1
-                column = 1
-            else:
-                column += 1
-            i += 1
-            continue
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise ParseError(f"unexpected character {ch!r}", line, column)
-        lexeme = m.group()
-        if lexeme[0].isdigit():
-            kind = "nat"
-        elif lexeme[0].isalpha():
-            kind = "ident"
-        else:
-            kind = lexeme
-        tokens.append(_Token(kind, lexeme, line, column))
-        column += len(lexeme)
-        i = m.end()
+    for m in _SCAN.finditer(text):
+        kind = m.lastgroup
+        if kind == "other":
+            raise ParseError(f"unexpected character {m[kind]!r}", *_position(text, m.start(kind)))
+        if kind is not None:
+            tokens.append(_Token(m[kind] if kind == "op" else kind, m[kind], m.start(kind)))
     return tokens
 
 
@@ -133,15 +124,12 @@ class _Parser:
     def fail(self, message: str) -> NoReturn:
         token = self.peek()
         if token is None:
-            line, column = self.end_position()
-            raise ParseError(f"{message}, found end of input", line, column)
-        raise ParseError(f"{message}, found {token.text!r}", token.line, token.column)
+            raise ParseError(f"{message}, found end of input", *self.end_position())
+        raise ParseError(f"{message}, found {token.text!r}", *_position(self.source, token.start))
 
     def end_position(self) -> tuple[int, int]:
-        if not self.tokens:
-            return 1, 1
         last = self.tokens[-1]
-        return last.line, last.column + len(last.text)
+        return _position(self.source, last.start + len(last.text))
 
     def natural(self, base_size: Optional[int] = None) -> int:
         """The natural at the next token: a numeral's value, or an exponent.
@@ -161,7 +149,7 @@ class _Parser:
         if cost > self.budget:
             what = "exponent" if base_size is not None else "numeral"
             message = f"{what} expands past {_EXPANSION_BUDGET} tree nodes in one input"
-            raise ParseError(message, token.line, token.column)
+            raise ParseError(message, *_position(self.source, token.start))
         self.budget -= cost
         return n
 
@@ -246,15 +234,14 @@ _INFIX = {"+": Add, "*": Mul, "/": Div}
 def parse(text: str) -> ParsedInput:
     """Parse an expression; raises ParseError with position on bad input."""
     tokens = _tokenize(text)
-    parser = _Parser(tokens, text)
     if not tokens:
         raise ParseError("empty input", 1, 1)
+    parser = _Parser(tokens, text)
     term = parser.parse_expr()
     if parser.peek() is not None:
         parser.fail("unexpected trailing input")
-    first = tokens[0]
-    end_line, end_column = parser.end_position()
-    return ParsedInput(term, text, Span(first.line, first.column, end_line, end_column))
+    span = Span(*_position(text, tokens[0].start), *parser.end_position())
+    return ParsedInput(term, text, span)
 
 
 def parse_term(text: str) -> Term:

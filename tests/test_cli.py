@@ -12,7 +12,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import meadows
@@ -395,6 +395,19 @@ def test_monomial_bound_below_one_is_usage_error(argv, capsys):
     assert "not a positive integer" in capsys.readouterr().err
 
 
+def test_positional_of_only_a_trailing_separator(capsys):
+    # argparse 3.10 to 3.13.0 leaves rhs as [], a missing argument; a version
+    # that passes the text "--" gets a parse error after its two '-'.
+    try:
+        code = main(["decide", "--theory", "iamd", "--", "0", "--"])
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR
+    assert err.startswith("usage: meadows decide ") or "(line 1, column 3)" in err
+    assert "Traceback" not in err
+
+
 # Raw text mostly stops at the tokenizer.  Token-shaped text joins pieces of
 # the grammar, with or without spaces, and reaches the parser; well-formed
 # text reaches the commands.  Three variable letters keep the GIL split small.
@@ -447,6 +460,7 @@ def cli_argv(draw) -> list[str]:
 
 
 @given(cli_argv())
+@example(["decide", "--theory", "iamd", "--", "0", "--"])
 @settings(max_examples=300, deadline=None)
 def test_any_text_gets_an_exit_code(argv: list[str]):
     out, err = io.StringIO(), io.StringIO()

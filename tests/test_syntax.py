@@ -3,6 +3,7 @@
 import json
 import random
 import re
+import string
 
 import pytest
 from hypothesis import given, settings
@@ -195,6 +196,71 @@ class TestParseErrors:
             parse(" * ".join(f"({b})^{rng.randint(0, 3)}" for b in bases))
         assert len(priced) >= 180
         assert all(size == term_size(base) for base, size in priced)
+
+
+# Texts of tokens, the four blanks and characters no token covers ("_" only
+# continues an identifier), and sums of operands padded with blanks, which parse.
+_BLANK = st.text(alphabet=" \t\r\n", max_size=3)
+_LEXEME = st.sampled_from(
+    ["x", "y1", "a_b", "inv", "0", "7", "12", "99999999"]
+    + ["(", ")", "+", "*", "/", "^", "-", "^-1", "^2"]
+)
+_STRAY = st.sampled_from(["\f", "\v", "X", "\u00e9", "@", "\u00a0", "_"])
+_PIECES = st.lists(st.one_of(_LEXEME, _BLANK, _STRAY), max_size=16).map("".join)
+_TOKENS = st.lists(st.one_of(_LEXEME, _BLANK), max_size=16).map("".join)
+_SUM = st.lists(
+    st.tuples(_BLANK, st.sampled_from(["x", "(y)", "inv(z)", "2^3", "-a_1"]), _BLANK).map("".join),
+    min_size=1,
+    max_size=5,
+).map("+".join)
+
+
+def lexical_oracle(text: str) -> tuple[list, list[int], list[int], int | None]:
+    """Each offset's (line, column), counted character by character; the start
+    and end offsets of the tokens; and the offset of the first character no
+    token covers, if any, where the scan stops."""
+    positions, line, column = [], 1, 1
+    for ch in text:
+        positions.append((line, column))
+        line, column = (line + 1, 1) if ch == "\n" else (line, column + 1)
+    positions.append((line, column))
+    word, digits = string.ascii_lowercase + string.digits + "_", string.digits
+    starts, ends, run = [], [], ""  # run: the characters that continue the token
+    for i, ch in enumerate(text):
+        if ch in run:
+            ends[-1] = i + 1
+            continue
+        run = word if ch in string.ascii_lowercase else digits if ch in digits else ""
+        if ch in " \t\r\n":
+            continue
+        if not run and ch not in "()+*/^-":
+            return positions, starts, ends, i
+        starts.append(i)
+        ends.append(i + 1)
+    return positions, starts, ends, None
+
+
+@given(st.one_of(_PIECES, _TOKENS, _SUM))
+@settings(max_examples=400, deadline=None)
+def test_positions_match_a_character_walk(text: str):
+    positions, starts, ends, uncovered = lexical_oracle(text)
+    try:
+        span = parse(text).span
+    except ParseError as exc:
+        where = (exc.line, exc.column)
+        if uncovered is not None:
+            line, column = positions[uncovered]
+            message = f"unexpected character {text[uncovered]!r} (line {line}, column {column})"
+            assert (str(exc), where) == (message, (line, column))
+        else:
+            end = positions[ends[-1]] if ends else (1, 1)
+            assert where in {positions[i] for i in starts} | {end}
+        return
+    assert uncovered is None
+    first = next(i for i, ch in enumerate(text) if ch not in " \t\r\n")
+    last = max(i for i, ch in enumerate(text) if ch not in " \t\r\n")
+    line, column = positions[last]
+    assert span == (*positions[first], line, column + 1)
 
 
 class TestRender:
