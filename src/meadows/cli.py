@@ -3,11 +3,13 @@
 Subcommands: parse, normalize, eval, decide, defined, translate.
 Exit codes: 0 success; 1 a decide verdict of false; 2 usage, parse, or
 domain errors; 3 an undefined result when evaluating under a punch.
+``main(argv)`` returns the exit code; its calls in one process share one parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -82,7 +84,9 @@ def _parse_assignment(text: str, carrier: Carrier) -> dict[str, Fraction]:
     return env
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """One parser shared by every call in this process, built on the first; do not mutate it."""
     # Each subcommand takes only the options it reads.
     formatted = argparse.ArgumentParser(add_help=False)
     formatted.add_argument(

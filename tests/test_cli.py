@@ -1,5 +1,6 @@
 """Tests for the command-line interface, driven through main()."""
 
+import argparse
 import io
 import json
 import os
@@ -459,18 +460,93 @@ def cli_argv(draw) -> list[str]:
     return argv + [draw(_TEXT) for _ in range(2 if command == "decide" else 1)]
 
 
-@given(cli_argv())
-@example(["decide", "--theory", "iamd", "--", "0", "--"])
-@settings(max_examples=300, deadline=None)
-def test_any_text_gets_an_exit_code(argv: list[str]):
+def outcome(argv: list[str]) -> tuple[object, str, str]:
+    """The exit code, stdout and stderr of one in-process ``main`` call."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse's usage errors and --help
             code = exc.code
-    assert code in (EXIT_OK, EXIT_FALSE, EXIT_ERROR, EXIT_UNDEFINED), (argv, err.getvalue())
-    assert "Traceback" not in err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(cli_argv())
+@example(["decide", "--theory", "iamd", "--", "0", "--"])
+@settings(max_examples=300, deadline=None)
+def test_any_text_gets_an_exit_code(argv: list[str]):
+    code, _, err = outcome(argv)
+    assert code in (EXIT_OK, EXIT_FALSE, EXIT_ERROR, EXIT_UNDEFINED), (argv, err)
+    assert "Traceback" not in err
+
+
+class TestParserBuiltOnce:
+    """``main`` builds its argument parser once per process and reuses it."""
+
+    # Usage errors, help and the lone trailing '--', checked in a fresh process too.
+    UNUSUAL = [
+        ["--help"],
+        ["decide", "--help"],
+        ["decide", "x", "x", "--theory", "nope"],
+        ["eval", "x", "--carrier", "pos", "--punch", "inv0"],
+        ["normalize", "x"],
+        ["parse", "x", "--bogus"],
+        ["decide", "1", "1", "--theory", "closed:iamd", "--max-monomials", "5"],
+        ["decide", "--theory", "iamd", "--", "0", "--"],
+        [],
+    ]
+    # Each subcommand in text and structured form, then the argv above.
+    ARGV = [
+        [command, *args, *fmt]
+        for command, args in [
+            ("parse", ["x * inv(x)", "--sig", "iamd"]),
+            ("normalize", ["x + y^-1", "--sig", "iamd", "--max-monomials", "9"]),
+            ("eval", ["x * y", "--assign", "x=2/3,y=6", "--carrier", "pos"]),
+            ("decide", ["x * x^-1", "1", "--theory", "ratiaz-gil"]),
+            ("defined", ["x + 1"]),
+            ("translate", ["x / y", "--to", "inv", "--numerals", "structural"]),
+        ]
+        for fmt in ([], ["--format", "structured"])
+    ] + UNUSUAL
+
+    @pytest.fixture(autouse=True)
+    def fixed_width(self, monkeypatch):
+        # Help and usage wrap at the terminal width, which a process whose
+        # stdout is a pipe reads from COLUMNS alone.
+        monkeypatch.setenv("COLUMNS", "80")
+
+    def test_second_call_builds_no_parser(self, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        outcome(["eval", "1 + 2^-1"])
+        built.clear()
+        outcome(["decide", "x", "x", "--theory", "iamd"])
+        assert built == []
+
+    def test_repeated_calls_behave_like_the_first(self):
+        first = [outcome(argv) for argv in self.ARGV]
+        second = [outcome(argv) for argv in self.ARGV]
+        for argv, once, again in zip(self.ARGV, first, second):
+            assert again == once, argv
+
+    @pytest.mark.parametrize("argv", UNUSUAL, ids=lambda argv: " ".join(argv) or "no arguments")
+    def test_calls_match_a_fresh_process(self, argv):
+        src = Path(meadows.__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, "-m", "meadows.cli", *argv],
+            env={**os.environ, "PYTHONPATH": str(src), "COLUMNS": "80"},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        outcome(argv)  # so that the call compared is a repeated one
+        assert outcome(argv) == (done.returncode, done.stdout, done.stderr)
 
 
 class TestOutputBuiltOnce:
