@@ -47,7 +47,7 @@ from heapq import heappop, heappush
 from itertools import chain, combinations, compress, islice
 from typing import Callable, Container, NamedTuple, Union
 
-from .evaluate import Carrier, _evaluate, eval_total
+from .evaluate import Carrier, _evaluator, eval_total
 from .exceptions import NotInSignature, SizeLimit
 from .normalize import (
     DEFAULT_MAX_MONOMIALS,
@@ -163,10 +163,11 @@ def _refuted_at(t: Term, u: Term, sig: SignatureId, patterns, variables=None) ->
     Each pattern is the set of variables at 0 there; the first point checks ``sig``.
     Only a refutation lists ``variables``, or both sides' variables when None."""
     allowed, refuse = sig.constructors, _not_in(sig)
+    lhs, rhs = _evaluator(t, allowed, refuse), _evaluator(u, allowed, refuse)
     for zeros in patterns:
         point = _zero_one(zeros)
-        p, q, _ = _evaluate(t, point, allowed, refuse)
-        r, s, _ = _evaluate(u, point, allowed, refuse)
+        p, q, _ = lhs(point)
+        r, s, _ = rhs(point)
         if p * s != r * q:
             names = sorted({*free_vars(t), *free_vars(u)}) if variables is None else variables
             env = {v: Fraction(0) if v in zeros else Fraction(1) for v in names}
@@ -244,7 +245,7 @@ def decide_iamdz_gil(t: Term, u: Term, max_monomials: int = DEFAULT_MAX_MONOMIAL
     if not variables:
         # A closed equation is decided by its sides' exact values, each evaluated once.
         point, allowed, refuse = _zero_one(()), sig.constructors, _not_in(sig)
-        lhs, rhs = (Fraction(*_evaluate(side, point, allowed, refuse)[:2]) for side in (t, u))
+        lhs, rhs = (Fraction(*_evaluator(side, allowed, refuse)(point)[:2]) for side in (t, u))
         evidence = MatchedNormals(lhs, rhs) if lhs == rhs else Counterexample({}, lhs, rhs)
         return Decision(lhs == rhs, evidence)
     # A derivable equation holds at every non-negative point, so any
@@ -267,7 +268,7 @@ def decide_iamdz_gil(t: Term, u: Term, max_monomials: int = DEFAULT_MAX_MONOMIAL
     if root_guards:
         # Past the bound the split, which expands no atom, may still decide.
         try:
-            lhs, rhs = _cross_products(*(_atomized(s, max_monomials) for s in root), max_monomials)
+            lhs, rhs = _cross_products(*_atomized(root, max_monomials), max_monomials)
             if lhs == rhs:
                 return Decision(True, MatchedNormals(lhs, rhs))
         except SizeLimit:
@@ -327,17 +328,23 @@ def decide_iamdz_gil(t: Term, u: Term, max_monomials: int = DEFAULT_MAX_MONOMIAL
     return Decision(True, RecursionTrace(tuple(steps)))
 
 
-def _atomized(t: Term, max_monomials: int) -> Term:
-    """Zero-free ``t`` with each inverse an opaque atom: a leaf named by the
-    inverse text of its argument's normal form, such as ``(x + y)^-1``."""
+def _atomized(pair: tuple[Term, Term], max_monomials: int) -> tuple[Term, Term]:
+    """Zero-free ``pair`` with each inverse an opaque atom: a leaf named by the
+    inverse text of its argument's normal form, such as ``(x + y)^-1``.
+    An argument met more than once, on either side, is normalized once."""
+    leaves: dict[Term, Term] = {}
 
     def visit(node: Term, *children: Term) -> Term:
         if node.__class__ is not Inv:
             return rebuild(node, *children)
-        text = split_inverse(children[0], max_monomials).numerator.render()
-        return _unchecked_var(f"({text})^-1" if " " in text or "*" in text else f"{text}^-1")
+        leaf = leaves.get(children[0])
+        if leaf is None:
+            text = split_inverse(children[0], max_monomials).numerator.render()
+            name = f"({text})^-1" if " " in text or "*" in text else f"{text}^-1"
+            leaf = leaves[children[0]] = _unchecked_var(name)
+        return leaf
 
-    return fold(t, visit)
+    return fold(pair[0], visit), fold(pair[1], visit)
 
 
 def _guards(pair: tuple[Term, Term], bit: dict[str, int]) -> set[int]:

@@ -3,15 +3,17 @@
 The inverse of 0 is 0, and q / 0 is q * (1/0) = 0.  Values are exact
 rationals, never floating point, so value equality is decidable.
 
-One fold, ``_evaluate``, gives the value of a term at a point, without
-recursion and on unreduced integer pairs: a quotient takes a gcd only
-when its denominator passes ``_REDUCE_BITS``, and otherwise none is taken
-until a caller builds a ``Fraction``.  Each caller gives the variable
+One evaluator, ``_evaluator``, lists a term once and returns the function
+that gives its value at a point, without recursion and on unreduced
+integer pairs: a quotient takes a gcd only when its denominator passes
+``_REDUCE_BITS``, and otherwise none is taken until a caller builds a
+``Fraction``.  A caller that evaluates one term at many points builds the
+function once and calls it per point.  Each caller gives the variable
 values and the constructors it admits: an environment and a carrier for
 ``eval_total`` and ``eval_punched`` (:mod:`meadows.partial`), sampled
 pairs and a carrier for ``check_model``, 0/1 points and a signature for
-the decision procedures.  The fold also says whether it met a punched
-point.
+the decision procedures.  The evaluation also says whether it met a
+punched point.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ import re
 from enum import Enum
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Container, Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from .exceptions import CarrierViolation, UnboundVariable
-from .terms import Add, Div, Inv, Mul, Neg, One, SignatureId, Term, Var, Zero, fold
+from .terms import Add, Div, Inv, Mul, Neg, One, SignatureId, Term, Var, Zero, _Reused, nodes
 
 
 class Carrier(Enum):
@@ -97,7 +99,7 @@ def eval_total(t: Term, env: Mapping[str, Fraction], carrier: Carrier = Carrier.
     outside the carrier (the constant 0 over positives, negation outside
     all rationals), and UnboundVariable for uncovered variables.
     """
-    p, q, _ = _evaluate(t, _lookup(env, carrier), carrier.constructors, _outside(carrier))
+    p, q, _ = _evaluator(t, carrier.constructors, _outside(carrier))(_lookup(env, carrier))
     return Fraction(p, q)
 
 
@@ -129,51 +131,82 @@ def _outside(carrier: Carrier) -> Callable[[type], CarrierViolation]:
 _REDUCE_BITS = 256
 
 
-def _evaluate(
+def _evaluator(
     t: Term,
-    value: Callable[[str], tuple[int, int]],
-    allowed: Container[type],
+    allowed: frozenset[type],
     refuse: Callable[[type], Exception],
     punch: Optional[PunchId] = None,
-) -> tuple[int, int, bool]:
-    """The value of ``t`` as an unreduced pair (numerator, nonzero denominator),
-    and whether it met a point that ``punch`` leaves undefined.
+) -> Callable[[Callable[[str], tuple[int, int]]], tuple[int, int, bool]]:
+    """The function of a point, ``value -> (p, q, punched)``, that gives the value
+    of ``t`` as an unreduced pair (numerator, nonzero denominator), and whether
+    it met a point that ``punch`` leaves undefined.
 
-    ``value(name)`` gives a variable's pair; a constructor outside
-    ``allowed`` raises ``refuse(kind)``.  q / 0 (q = 1 for 0^-1) is 0, and
-    a punched point unless q = 0 under DIV_NONZERO0.  The total value is
-    all the fold computes: below the first punched point it is the
-    punched value, and above it the whole term is undefined.
+    ``t`` is listed once, here; each point walks that listing in post-order on
+    one stack.  ``value(name)`` gives a variable's pair; a constructor outside
+    ``allowed`` raises ``refuse(kind)`` at its post-order position, after the
+    nodes before it, so an unbound variable met first is reported first.
+    q / 0 (q = 1 for 0^-1) is 0, and a punched point unless q = 0 under
+    DIV_NONZERO0.  The total value is all the walk computes: below the first
+    punched point it is the punched value, and above it the whole term is
+    undefined.  The base of ``t^n`` is walked once, its pair reused at each
+    later link's ``_REUSED``, as ``fold`` does.
     """
-    punched = False
+    order = nodes(t)
+    order.reverse()
+    refused = None
+    outside = set(map(type, order)).difference(allowed, (Var, _Reused))
+    if outside:
+        # The walk stops where the first refused constructor stands.
+        cut = next(i for i, node in enumerate(order) if node.__class__ in outside)
+        refused = order[cut].__class__
+        del order[cut:]
     strict = punch is not PunchId.DIV_NONZERO0  # 0 / 0 is punched too
 
-    def visit(node: Term, a=(1, 1), b=(1, 1)) -> tuple[int, int]:
-        nonlocal punched
-        kind = node.__class__
-        if kind is Var:
-            return value(node.name)
-        if kind not in allowed:
-            raise refuse(kind)
-        if kind is Add:
-            return a[0] * b[1] + b[0] * a[1], a[1] * b[1]
-        if kind is Mul:
-            return a[0] * b[0], a[1] * b[1]
-        if kind is Inv:  # u^-1 is 1 / u
-            a, b = (1, 1), a
-        elif kind is Neg:
-            return -a[0], a[1]
-        elif kind is not Div:
-            return (1, 1) if kind is One else (0, 1)
-        if b[0]:
-            p, q = a[0] * b[1], a[1] * b[0]
-            if q.bit_length() > _REDUCE_BITS:
-                g = gcd(p, q)
-                return p // g, q // g
-            return p, q
-        if strict or a[0]:
-            punched = True
-        return (0, 1)
+    def evaluate(value: Callable[[str], tuple[int, int]]) -> tuple[int, int, bool]:
+        punched = False
+        out: list = []
+        push, pop = out.append, out.pop
+        right = None
+        for node in order:
+            kind = node.__class__
+            if kind is Var:
+                push(value(node.name))
+            elif kind is Mul:
+                right = b = pop()
+                a = out[-1]
+                out[-1] = a[0] * b[0], a[1] * b[1]
+            elif kind is Add:
+                right = b = pop()
+                a = out[-1]
+                out[-1] = a[0] * b[1] + b[0] * a[1], a[1] * b[1]
+            elif kind is One:
+                push((1, 1))
+            elif kind is Zero:
+                push((0, 1))
+            elif kind is _Reused:  # the right operand of the link just walked
+                push(right)
+            elif kind is Neg:
+                a = out[-1]
+                out[-1] = -a[0], a[1]
+            else:  # a quotient: u^-1 is 1 / u
+                if kind is Inv:
+                    a, b = (1, 1), out[-1]
+                else:
+                    right = b = pop()
+                    a = out[-1]
+                if b[0]:
+                    p, q = a[0] * b[1], a[1] * b[0]
+                    if q.bit_length() > _REDUCE_BITS:
+                        g = gcd(p, q)
+                        p, q = p // g, q // g
+                    out[-1] = p, q
+                else:
+                    if strict or a[0]:
+                        punched = True
+                    out[-1] = (0, 1)
+        if refused is not None:
+            raise refuse(refused)
+        p, q = out[0]
+        return p, q, punched
 
-    p, q = fold(t, visit)
-    return p, q, punched
+    return evaluate

@@ -29,7 +29,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Union
 
-from .evaluate import Carrier, PunchId, _evaluate, _lookup, _outside
+from .evaluate import Carrier, PunchId, _evaluator, _lookup, _outside
 from .exceptions import CarrierViolation, NotInSignature, SignatureMismatch
 from .terms import Add, Inv, Mul, One, SignatureId, Term, conforms, fold
 
@@ -85,8 +85,8 @@ def eval_punched(t: Term, env: Mapping[str, Fraction], punch: PunchId) -> Partia
     for name, value in env.items():
         if value < 0:
             raise CarrierViolation(f"{name} = {value} is negative")
-    allowed = Carrier.ALL.constructors
-    p, q, punched = _evaluate(t, _lookup(env, Carrier.ALL), allowed, _outside(Carrier.ALL), punch)
+    evaluate = _evaluator(t, Carrier.ALL.constructors, _outside(Carrier.ALL), punch)
+    p, q, punched = evaluate(_lookup(env, Carrier.ALL))
     return UNDEFINED if punched else Defined(Fraction(p, q))
 
 

@@ -42,7 +42,7 @@ from meadows import (
     substitute,
     zero_elim,
 )
-from meadows.evaluate import _evaluate
+from meadows.evaluate import _evaluator
 from meadows.terms import Term
 from termgen import random_term, reference_value
 
@@ -50,6 +50,20 @@ X = Var("x")
 Y = Var("y")
 
 SUM_OF_SQUARES = Add(Add(ONE, power(X, 2)), power(Y, 2))
+
+
+def count_points(monkeypatch, *modules) -> list:
+    """The points evaluated through ``_evaluator`` in ``modules``, one entry each,
+    as the functions it returns are called."""
+    points: list = []
+
+    def counted(*args):
+        evaluate = _evaluator(*args)
+        return lambda value: points.append(value) or evaluate(value)
+
+    for module in modules:
+        monkeypatch.setattr(module, "_evaluator", counted)
+    return points
 
 
 def equal_variant(rng: random.Random, t: Term, with_zero: bool = False) -> Term:
@@ -453,10 +467,7 @@ class TestDecideIamdzGil:
     def test_searched_zero_sets_are_not_folded_again(self, monkeypatch):
         import meadows.decide
 
-        folds, calls = [], []
-        monkeypatch.setattr(
-            meadows.decide, "_evaluate", lambda *args: folds.append(args) or _evaluate(*args)
-        )
+        folds, calls = count_points(monkeypatch, meadows.decide), []
         monkeypatch.setattr(
             meadows.decide, "decide_iamd", lambda *args: calls.append(args) or decide_iamd(*args)
         )
@@ -517,12 +528,8 @@ class TestDecideIamdzGil:
         import meadows.decide
         import meadows.evaluate
 
-        calls = []
-        # Every fold is counted, eval_total's and closed_normal's too.
-        for module in (meadows.decide, meadows.evaluate):
-            monkeypatch.setattr(
-                module, "_evaluate", lambda *args: calls.append(args) or _evaluate(*args)
-            )
+        # Every evaluation is counted, eval_total's and closed_normal's too.
+        calls = count_points(monkeypatch, meadows.decide, meadows.evaluate)
         d = decide_iamdz_gil(Mul(numeral(3), Inv(numeral(2))), Add(ONE, Inv(numeral(2))))
         assert d.verdict
         assert len(calls) == 2
@@ -761,7 +768,7 @@ class TestCyclicFamily:
 
 def record_atom_checks(monkeypatch) -> list[bool]:
     """Whether each atom check of ``decide_iamdz_gil`` matched, as it runs:
-    the cross products of the last two atomized sides."""
+    the cross products of the last atomized pair of sides."""
     import meadows.decide
 
     matches, sides = [], []
@@ -773,7 +780,7 @@ def record_atom_checks(monkeypatch) -> list[bool]:
 
     def recorded(t, u, max_monomials):
         lhs, rhs = cross_products(t, u, max_monomials)
-        if sides[-2:] == [t, u]:
+        if sides[-1:] == [(t, u)]:
             matches.append(lhs == rhs)
         return lhs, rhs
 
@@ -816,6 +823,22 @@ class TestAtomCheck:
         assert d.evidence.render() == (
             "(x + y)^-1*x*x^-1 + (x + y)^-1*y  vs  (x + y)^-1*x*x^-1 + (x + y)^-1*y"
         )
+
+    def test_each_argument_is_normalized_once(self, monkeypatch):
+        import meadows.decide
+
+        split = []
+
+        def counted(t, max_monomials):
+            split.append(t)
+            return split_inverse(t, max_monomials)
+
+        monkeypatch.setattr(meadows.decide, "split_inverse", counted)
+        # Five inverses over three distinct arguments: x + y, x and y + x.
+        lhs = Mul(Inv(Add(X, Y)), Add(Mul(X, Inv(X)), Y))
+        rhs = Add(Mul(Mul(Inv(X), X), Inv(Add(Y, X))), Mul(Y, Inv(Add(Y, X))))
+        assert decide_iamdz_gil(lhs, rhs).verdict
+        assert split == [Add(X, Y), X, Add(Y, X)]
 
     def test_pair_without_a_guard_skips_the_check(self, monkeypatch):
         atom_matches = record_atom_checks(monkeypatch)
@@ -868,10 +891,7 @@ class TestPreSearchOrder:
     def test_atom_check_skips_the_exponential_search(self, monkeypatch, divisive: bool):
         import meadows.decide
 
-        folds = []
-        monkeypatch.setattr(
-            meadows.decide, "_evaluate", lambda *args: folds.append(args) or _evaluate(*args)
-        )
+        folds = count_points(monkeypatch, meadows.decide)
         atom_matches = record_atom_checks(monkeypatch)
         n = 10
         lhs, rhs = sum_of_units(n)
@@ -1011,10 +1031,7 @@ class TestDecideDivisive:
     def test_zero_free_sides_are_folded_once(self, monkeypatch):
         import meadows.decide
 
-        folds = []
-        monkeypatch.setattr(
-            meadows.decide, "_evaluate", lambda *args: folds.append(args) or _evaluate(*args)
-        )
+        folds = count_points(monkeypatch, meadows.decide)
         assert decide_divisive(Div(Add(X, Y), Add(Y, X)), ONE, TheoryId.DAMD).verdict
         assert len(folds) == 2
 

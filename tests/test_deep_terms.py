@@ -74,7 +74,7 @@ from meadows import (
     zero_elim,
 )
 from meadows.cli import main
-from meadows.evaluate import _REDUCE_BITS, _evaluate
+from meadows.evaluate import _REDUCE_BITS, _evaluator
 from meadows.terms import _SET_HASH
 
 DEPTH = 10**4
@@ -206,7 +206,7 @@ def test_cancelling_quotients_stay_small():
     # x / (x / (... / x)) is 2 or 1 at every level, but its unreduced pair
     # gains a bit per level until a quotient reduces it.
     t, sig, value = deep_term("div", DEPTH)
-    p, q, _ = _evaluate(t, lambda name: (2, 1), sig.constructors, NotInSignature)
+    p, q, _ = _evaluator(t, sig.constructors, NotInSignature)(lambda name: (2, 1))
     assert Fraction(p, q) == value
     assert max(abs(p), abs(q)).bit_length() <= _REDUCE_BITS + 2
 

@@ -15,6 +15,7 @@ from meadows import (
     Inv,
     Mul,
     Neg,
+    NotInSignature,
     SignatureId,
     UnboundVariable,
     Var,
@@ -22,7 +23,9 @@ from meadows import (
     eval_total,
     numeral,
     parse_rational,
+    power,
 )
+from meadows.evaluate import _evaluator, _lookup
 from meadows.terms import constructors
 from termgen import random_env, random_term, reference_value
 
@@ -64,6 +67,34 @@ def test_carrier_restrictions():
 def test_unbound_variable():
     with pytest.raises(UnboundVariable):
         eval_total(X, {}, Carrier.ALL)
+
+
+def test_errors_come_in_post_order():
+    # An unbound variable met before a constructor outside the carrier is
+    # reported first, and the other way round; of two refused constructors
+    # the first met is named.
+    with pytest.raises(UnboundVariable):
+        eval_total(Add(X, Neg(ONE)), {}, Carrier.NON_NEGATIVE)
+    with pytest.raises(CarrierViolation):
+        eval_total(Add(Neg(ONE), X), {}, Carrier.NON_NEGATIVE)
+    with pytest.raises(CarrierViolation, match="negation"):
+        eval_total(Add(Neg(ONE), ZERO), {}, Carrier.POSITIVE)
+    with pytest.raises(CarrierViolation, match="constant 0"):
+        eval_total(Add(ZERO, Neg(ONE)), {}, Carrier.POSITIVE)
+
+
+def test_signature_errors_come_in_post_order():
+    sig = SignatureId.IAMD
+    lookup = _lookup({}, Carrier.ALL)
+    with pytest.raises(UnboundVariable):
+        _evaluator(Mul(X, Div(ONE, ONE)), sig.constructors, NotInSignature)(lookup)
+    with pytest.raises(NotInSignature):
+        _evaluator(Mul(Div(ONE, ONE), X), sig.constructors, NotInSignature)(lookup)
+    # Listing the term raises nothing: the error belongs to each point.
+    evaluate = _evaluator(power(Div(X, ONE), 3), sig.constructors, NotInSignature)
+    for _ in range(2):
+        with pytest.raises(UnboundVariable):
+            evaluate(lookup)
 
 
 def test_parse_rational():

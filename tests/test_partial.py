@@ -30,6 +30,7 @@ from meadows import (
     eval_total,
     free_vars,
     numeral,
+    power,
 )
 from meadows.terms import Term
 from termgen import random_term, reference_value
@@ -81,6 +82,19 @@ class TestEvalPunched:
 
     def test_variable_lookup(self):
         assert eval_punched(X, {"x": Fraction(5, 2)}, PunchId.INV0) == Defined(Fraction(5, 2))
+
+    @pytest.mark.parametrize("punch", list(PunchId))
+    @pytest.mark.parametrize("x", [0, 2])
+    def test_power_of_a_quotient_by_zero(self, punch, x):
+        # The base is walked once and its value reused at each link of the chain.
+        quotient = Div(X, ZERO) if punch.signature is SignatureId.DAMDZ else Mul(X, Inv(ZERO))
+        two = numeral(2)
+        for t in (power(quotient, 3), power(Add(quotient, two), 3), power(Add(X, two), 3)):
+            env = {"x": Fraction(x)}
+            expected = reference_value(t, env, punch)
+            assert eval_punched(t, env, punch) == (
+                UNDEFINED if expected is None else Defined(expected)
+            )
 
     @given(st.integers(0, 500))
     @settings(max_examples=80, deadline=None)

@@ -312,6 +312,20 @@ class TestCheckModelReference:
             report = check_model(TheoryId.CR, carrier, samples, seed)
             assert repr(report) == repr(reference_check_model(TheoryId.CR, carrier, samples, seed))
 
+    @pytest.mark.parametrize("id", [TheoryId.CR, TheoryId.RATIAZ_GIL, TheoryId.RATDAZ_GIL])
+    def test_each_law_side_is_listed_once(self, monkeypatch, id):
+        import meadows.evaluate
+
+        listed = []
+        nodes = meadows.evaluate.nodes
+        monkeypatch.setattr(meadows.evaluate, "nodes", lambda t: listed.append(t) or nodes(t))
+        check_model(id, Carrier.ALL, samples=60, seed=3)
+        th = theory(id)
+        sides = [t for law in th.equations for t in law[:2]]
+        if th.conditional is not None:
+            sides += th.conditional[:3]  # the guard too
+        assert sorted(map(repr, listed)) == sorted(map(repr, sides))
+
     def test_guarded_and_late_witnesses(self, monkeypatch):
         x, y = Var("x"), Var("y")
         test_theory = Theory(
