@@ -43,8 +43,7 @@ cancelled out are set to 1.
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heappop, heappush
-from itertools import chain, combinations, compress, islice
+from itertools import chain, combinations, islice
 from typing import Callable, Container, NamedTuple, Union
 
 from .evaluate import Carrier, _evaluator, eval_total
@@ -214,12 +213,13 @@ def decide_iamdz_gil(t: Term, u: Term, max_monomials: int = DEFAULT_MAX_MONOMIAL
     the split starts from the empty zero set and queues, after each case
     C, the sets C ∪ T for every minimal zero set T of an inverted argument
     in C's reduced pair (``_guards``); elimination turns 0^-1 into 0, so
-    each such argument is nonzero at C.  It visits them smallest first,
-    and sets of one size in the lexicographic order of their sorted
-    variables, so a refutation comes from the first failing zero set in
-    that order.  The reduced pair of a queued set is that of the case
-    which queued it, restricted by one fold per side to the new variables
-    at 0 (``_restrict``).  A pair not met before
+    each such argument is nonzero at C.  It visits zero sets by size, each
+    size in the lexicographic order of its sorted variables, so a
+    refutation comes from the first failing zero set in that order; a set
+    is always larger than the case that queues it.  The reduced pair of a
+    queued set is that of the case which queued it, restricted by one fold
+    per side to the set's variables at 0 (``_restrict``); those already 0
+    at that case no longer occur in its pair.  A pair not met before
     is decided once: both sides 0 is true, and stays so at every larger
     zero set; exactly one side 0 is false (a zero-free term is positive
     at the all-ones point); otherwise the zero-free comparison decides.
@@ -252,17 +252,11 @@ def decide_iamdz_gil(t: Term, u: Term, max_monomials: int = DEFAULT_MAX_MONOMIAL
     # separating 0/1 point refutes it outright, simplest points first.
     if refuted := _refuted_at(t, u, sig, [(), *zip(variables)], variables):
         return refuted
-    # Zero sets are masks, with bit n-1-i for the i-th variable: then among
-    # the sets of one size the larger mask comes first in lexicographic
-    # order, so the heap pops them in that order by this key.
+    # Zero sets are masks, with bit n-1-i for the i-th variable: among the
+    # sets of one size the larger mask comes first in lexicographic order.
     n = len(variables)
-    full = (1 << n) - 1
     bits = [1 << (n - 1 - i) for i in range(n)]
     bit = dict(zip(variables, bits))
-
-    def order(mask: int) -> int:
-        return mask.bit_count() << n | full & ~mask
-
     root = zero_elim(t), zero_elim(u)
     root_guards = set() if ZERO in root else _guards(root, bit)
     if root_guards:
@@ -276,52 +270,52 @@ def decide_iamdz_gil(t: Term, u: Term, max_monomials: int = DEFAULT_MAX_MONOMIAL
     steps: list[TraceStep] = []
     # Each decided pair maps to its guards: the zero sets its children add to its own.
     decided: dict[tuple[Term, Term], set[int]] = {}
-    # Each queued zero set maps to the reduced pair of the case that queued
-    # it and the zero set it adds to that case's.
-    queued = {0: (root, 0)}
-    heap = [order(0)]
-    while heap:
-        key = heappop(heap)
-        mask = full & ~key
-        pair, added = queued[mask]
-        if added:
-            new = set(compress(variables, map(added.__and__, bits)))
-            pair = _restrict(pair[0], new), _restrict(pair[1], new)
-        guards = decided.get(pair)
-        if guards is None:
-            s, s2 = pair
-            if isinstance(s, Zero) != isinstance(s2, Zero):
-                # One side is derivably 0, the other is zero-free and therefore
-                # strictly positive at the all-ones assignment.
-                ones = dict.fromkeys(free_vars(s) + free_vars(s2), Fraction(1))
-                return _refutation(t, u, variables, ones)
-            if isinstance(s, Zero):
-                decision = Decision(True, MatchedNormals(Fraction(0), Fraction(0)))
-                guards = set()  # both sides stay 0 at every larger zero set
-            else:
-                # The pre-search already compared the single zeros' sides at all-ones.
-                decide = _decide_zero_free if mask.bit_count() <= 1 else decide_iamd
-                try:
-                    decision = decide(s, s2, max_monomials)
-                except SizeLimit:
-                    # 0/1 points with two or more zeros may still refute, in split order.
-                    sets = chain.from_iterable(combinations(variables, k) for k in range(2, n + 1))
-                    if refuted := _refuted_at(t, u, sig, islice(sets, max_monomials), variables):
-                        return refuted
-                    raise
-                if not decision.verdict:
-                    assert isinstance(decision.evidence, Counterexample)
-                    return _refutation(t, u, variables, decision.evidence.assignment)
-                guards = _guards(pair, bit) if mask else root_guards
-            decided[pair] = guards
-            zeros = compress(variables, map(mask.__and__, bits))
-            case = ", ".join(f"{var} = 0" for var in zeros) or "all variables nonzero"
-            steps.append(TraceStep(case, decision))
-        for m in guards:
-            child = mask | m
-            if child not in queued:
-                queued[child] = pair, m
-                heappush(heap, order(child))
+    # Level k maps each queued zero set of k variables to the reduced pair of
+    # the case that queued it, which has fewer variables at 0.
+    queued: list[dict[int, tuple[Term, Term]]] = [{0: root}, *({} for _ in variables)]
+    for level in queued:
+        for mask in sorted(level, reverse=True):
+            pair = level[mask]
+            zeros = [var for var, b in zip(variables, bits) if mask & b]
+            if zeros:
+                pair = _restrict(pair[0], zeros), _restrict(pair[1], zeros)
+            guards = decided.get(pair)
+            if guards is None:
+                s, s2 = pair
+                if isinstance(s, Zero) != isinstance(s2, Zero):
+                    # One side is derivably 0, the other is zero-free and therefore
+                    # strictly positive at the all-ones assignment.
+                    ones = dict.fromkeys(free_vars(s) + free_vars(s2), Fraction(1))
+                    return _refutation(t, u, variables, ones)
+                if isinstance(s, Zero):
+                    decision = Decision(True, MatchedNormals(Fraction(0), Fraction(0)))
+                    guards = set()  # both sides stay 0 at every larger zero set
+                else:
+                    # The pre-search already compared the single zeros' sides at all-ones.
+                    decide = _decide_zero_free if len(zeros) <= 1 else decide_iamd
+                    try:
+                        decision = decide(s, s2, max_monomials)
+                    except SizeLimit:
+                        # 0/1 points with two or more zeros may still refute, in split order.
+                        sets = chain.from_iterable(
+                            combinations(variables, k) for k in range(2, n + 1)
+                        )
+                        if refuted := _refuted_at(
+                            t, u, sig, islice(sets, max_monomials), variables
+                        ):
+                            return refuted
+                        raise
+                    if not decision.verdict:
+                        assert isinstance(decision.evidence, Counterexample)
+                        return _refutation(t, u, variables, decision.evidence.assignment)
+                    guards = _guards(pair, bit) if mask else root_guards
+                decided[pair] = guards
+                case = ", ".join(f"{var} = 0" for var in zeros) or "all variables nonzero"
+                steps.append(TraceStep(case, decision))
+            for m in guards:
+                child = mask | m
+                queued[child.bit_count()].setdefault(child, pair)
+        level.clear()
     if len(steps) == 1:
         # A single case, as for an inverse-free equation: no case split.
         return steps[0].decision

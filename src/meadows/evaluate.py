@@ -104,15 +104,20 @@ def eval_total(t: Term, env: Mapping[str, Fraction], carrier: Carrier = Carrier.
 
 
 def _lookup(env: Mapping[str, Fraction], carrier: Carrier) -> Callable[[str], tuple[int, int]]:
-    """The value of a variable in ``env`` as a pair, checked against ``carrier``."""
+    """The value of a variable in ``env`` as a pair, checked against ``carrier``.
+    Each variable is read and checked once, at its first lookup."""
+    pairs: dict[str, tuple[int, int]] = {}
 
     def value(name: str) -> tuple[int, int]:
-        if name not in env:
-            raise UnboundVariable(f"no value for variable {name}")
-        q = Fraction(env[name])
-        if not carrier.contains(q):
-            raise CarrierViolation(f"{name} = {q} is outside the {carrier.value} carrier")
-        return q.numerator, q.denominator
+        pair = pairs.get(name)
+        if pair is None:
+            if name not in env:
+                raise UnboundVariable(f"no value for variable {name}")
+            q = Fraction(env[name])
+            if not carrier.contains(q):
+                raise CarrierViolation(f"{name} = {q} is outside the {carrier.value} carrier")
+            pair = pairs[name] = q.numerator, q.denominator
+        return pair
 
     return value
 

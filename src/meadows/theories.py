@@ -27,6 +27,7 @@ from typing import NamedTuple, Optional
 from .evaluate import Carrier, _evaluator, _outside
 from .evaluate import eval_total  # noqa: F401  (bench/tracing.py wraps theories.eval_total)
 from .exceptions import SignatureMismatch
+from .syntax import render
 from .terms import (
     ONE,
     ZERO,
@@ -78,8 +79,6 @@ class Equation(NamedTuple):
         return tuple(sorted({*free_vars(self.lhs), *free_vars(self.rhs)}))
 
     def render(self) -> str:
-        from .syntax import render
-
         return f"{render(self.lhs)} = {render(self.rhs)}"
 
 
@@ -102,8 +101,6 @@ class ConditionalLaw(NamedTuple):
         return tuple(sorted(names))
 
     def render(self) -> str:
-        from .syntax import render
-
         return f"{render(self.subject)} != 0  =>  {render(self.lhs)} = {render(self.rhs)}"
 
 

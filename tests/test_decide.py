@@ -387,6 +387,16 @@ def squares_times_inverse_squares(names: list[str]) -> Term:
     return reduce(Add, [Mul(power(Var(v), 2), power(Inv(Var(v)), 2)) for v in names])
 
 
+def split_order(names: list[str]) -> list[str]:
+    """The case names of every zero set of sorted ``names``, in the split's
+    order: by size, each size in lexicographic order."""
+    return [
+        ", ".join(f"{v} = 0" for v in zeros) or "all variables nonzero"
+        for size in range(len(names) + 1)
+        for zeros in combinations(names, size)
+    ]
+
+
 class TestDecideIamdzGil:
     def test_inverse_law_fails_at_zero(self):
         d = decide_iamdz_gil(Mul(X, Inv(X)), ONE)
@@ -441,11 +451,7 @@ class TestDecideIamdzGil:
         assert len(calls) <= 2**8
         # Each zero set is restricted from its parent's pair, once per side.
         assert 0 < len(restrictions) <= 2 * (2**8 - 1)
-        assert [step.description for step in d.evidence.steps] == [
-            ", ".join(f"{v} = 0" for v in zeros) or "all variables nonzero"
-            for size in range(len(names) + 1)
-            for zeros in combinations(names, size)
-        ]
+        assert [step.description for step in d.evidence.steps] == split_order(names)
 
     def test_case_implied_by_its_parent_is_skipped(self):
         # At w = 0 and at x = 0 the pair keeps only (u + 1) * (u + 1)^-1 for
@@ -755,6 +761,8 @@ class TestCyclicFamily:
         assert d.verdict
         assert isinstance(d.evidence, RecursionTrace)
         assert len(d.evidence.steps) == 2**n
+        names = [f"v{i}" for i in range(n)]
+        assert [step.description for step in d.evidence.steps] == split_order(names)
         assert atom_matches == [False]
 
     @pytest.mark.parametrize("n", [4, 5])

@@ -23,6 +23,7 @@ from meadows import (
     eval_total,
     numeral,
     parse_rational,
+    parse_term,
     power,
 )
 from meadows.evaluate import _evaluator, _lookup
@@ -67,6 +68,18 @@ def test_carrier_restrictions():
 def test_unbound_variable():
     with pytest.raises(UnboundVariable):
         eval_total(X, {}, Carrier.ALL)
+
+
+def test_each_variable_is_read_once():
+    class CountingEnv(dict):
+        def __getitem__(self, name):
+            reads.append(name)
+            return super().__getitem__(name)
+
+    reads = []
+    env = CountingEnv(x=Fraction(2, 3))
+    assert eval_total(parse_term("x + x * x"), env) == Fraction(10, 9)
+    assert reads == ["x"]
 
 
 def test_errors_come_in_post_order():
