@@ -25,7 +25,7 @@ from .decide import (
     decide_iamd,
     decide_iamdz_gil,
 )
-from .evaluate import Carrier, eval_total, parse_rational
+from .evaluate import Carrier, eval_total, exact_str, parse_rational
 from .exceptions import MeadowError, NotInSignature, SchemaError
 from .normalize import DEFAULT_MAX_MONOMIALS, closed_normal, split_inverse, zero_elim
 from .partial import Defined, PunchId, classify_def, eval_punched
@@ -164,6 +164,8 @@ def _emit(args: argparse.Namespace, text: Callable[[], str], doc: Callable[[], d
             print(json.dumps(doc()))
         except RecursionError:
             raise SchemaError("result is nested too deeply for the json module") from None
+        except ValueError:  # an int past sys.get_int_max_str_digits()
+            raise SchemaError("result holds an integer too long for the json module") from None
     else:
         print(text())
 
@@ -194,7 +196,7 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
         normal = closed_normal(term, sig)
         _emit(
             args,
-            lambda: str(normal),
+            lambda: exact_str(normal),
             lambda: {
                 "kind": "zero" if normal == 0 else "fraction",
                 "numerator": normal.numerator,
@@ -206,8 +208,7 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
     if sig in (SignatureId.DAMD, SignatureId.DAMDZ):
         inversive = div_to_inv(term)
     elif sig not in (SignatureId.IAMD, SignatureId.IAMDZ):
-        print(f"error: no open-term normal form for {sig.value}", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError(f"no open-term normal form for {sig.value}")
     if sig in (SignatureId.IAMDZ, SignatureId.DAMDZ):
         inversive = zero_elim(inversive)
         if isinstance(inversive, Zero):
@@ -238,7 +239,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     else:
         carrier = Carrier(args.carrier or "all")
         value = eval_total(term, _parse_assignment(args.assign, carrier), carrier)
-    _emit(args, lambda: str(value), lambda: {"defined": True, "value": str(value)})
+    _emit(args, lambda: exact_str(value), lambda: {"defined": True, "value": exact_str(value)})
     return EXIT_OK
 
 
@@ -258,15 +259,15 @@ def _evidence_doc(evidence) -> dict:
     if isinstance(evidence, MatchedNormals):
         return {
             "kind": "normals",
-            "lhs": str(evidence.lhs),
-            "rhs": str(evidence.rhs),
+            "lhs": exact_str(evidence.lhs),
+            "rhs": exact_str(evidence.rhs),
         }
     if isinstance(evidence, Counterexample):
         return {
             "kind": "counterexample",
-            "assignment": {v: str(q) for v, q in sorted(evidence.assignment.items())},
-            "lhs_value": str(evidence.lhs_value),
-            "rhs_value": str(evidence.rhs_value),
+            "assignment": {v: exact_str(q) for v, q in sorted(evidence.assignment.items())},
+            "lhs_value": exact_str(evidence.lhs_value),
+            "rhs_value": exact_str(evidence.rhs_value),
         }
     if isinstance(evidence, RecursionTrace):
         return {

@@ -25,16 +25,17 @@ terms of any of the seven signatures are decided by comparing their
 normal forms, which are their exact values (``decide_closed``), so
 evaluation doubles as an independent oracle for the syntactic procedures.
 
-A false verdict always carries a concrete counterexample assignment.
-Both procedures first evaluate the two sides exactly at 0/1 points (the
-all-ones point, or the points with at most one variable 0) with the
-evaluator of :mod:`meadows.evaluate`, which also checks the signature,
-and refute at the first point that separates them, before normalizing or
-translating anything; true verdicts come only from matched normal forms.
-Otherwise the zero-carrying
-split lifts the counterexample of the first failing case, and the
-zero-free search specializes the two distinct cross-product polynomials
-one variable at a time to small positive integers at which they differ
+A false verdict of an open-term procedure carries a concrete
+counterexample assignment; one of ``decide_closed`` carries the two
+distinct values.  The open-term procedures first evaluate the two sides
+exactly at 0/1 points (the all-ones point, or the points with at most
+one variable 0) with the evaluator of :mod:`meadows.evaluate`, which
+also checks the signature, and refute at the first point that separates
+them, before normalizing or translating anything; true verdicts come
+only from matched normal forms.  Otherwise the zero-carrying split lifts
+the counterexample of the first failing case, and the zero-free search
+specializes the two distinct cross-product polynomials one variable at a
+time to small positive integers at which they differ
 (``PosPoly.separating_point``), which always succeeds because a nonzero
 polynomial has only finitely many roots per variable; variables that
 cancelled out are set to 1.
@@ -46,7 +47,7 @@ from fractions import Fraction
 from itertools import chain, combinations, islice
 from typing import Callable, Container, NamedTuple, Union
 
-from .evaluate import Carrier, _evaluator, eval_total
+from .evaluate import Carrier, _evaluator, eval_total, exact_str
 from .exceptions import NotInSignature, SizeLimit
 from .normalize import (
     DEFAULT_MAX_MONOMIALS,
@@ -87,7 +88,7 @@ class MatchedNormals(NamedTuple):
     rhs: Union[PosPoly, Fraction]
 
     def render(self) -> str:
-        return f"{self.lhs}  vs  {self.rhs}"
+        return f"{exact_str(self.lhs)}  vs  {exact_str(self.rhs)}"
 
 
 class Counterexample(NamedTuple):
@@ -98,10 +99,10 @@ class Counterexample(NamedTuple):
     rhs_value: Fraction
 
     def render(self) -> str:
-        binds = ", ".join(f"{v} = {q}" for v, q in sorted(self.assignment.items()))
+        binds = ", ".join(f"{v} = {exact_str(q)}" for v, q in sorted(self.assignment.items()))
         if not binds:
             binds = "(empty)"
-        return f"{binds}  gives  {self.lhs_value} != {self.rhs_value}"
+        return f"{binds}  gives  {exact_str(self.lhs_value)} != {exact_str(self.rhs_value)}"
 
 
 class TraceStep(NamedTuple):

@@ -19,10 +19,11 @@ punched point.
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional, Union
 
 from .exceptions import CarrierViolation, UnboundVariable
 from .terms import Add, Div, Inv, Mul, Neg, One, SignatureId, Term, Var, Zero, _Reused, nodes
@@ -90,6 +91,18 @@ def parse_rational(text: str, carrier: Carrier = Carrier.ALL) -> Fraction:
     if not carrier.contains(value):
         raise CarrierViolation(f"{value} is outside the {carrier.value} carrier")
     return value
+
+
+def exact_str(q: Union[int, Fraction]) -> str:
+    """``str(q)``, with every digit even past the interpreter's limit on
+    int-to-str conversion (``sys.get_int_max_str_digits``), which it
+    leaves as it is: ``decimal.Decimal`` converts an int exactly."""
+    try:
+        return str(q)
+    except ValueError:
+        if q.denominator != 1:
+            return f"{exact_str(q.numerator)}/{exact_str(q.denominator)}"
+        return str(Decimal(q.numerator))
 
 
 def eval_total(t: Term, env: Mapping[str, Fraction], carrier: Carrier = Carrier.ALL) -> Fraction:

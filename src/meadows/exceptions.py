@@ -9,10 +9,6 @@ class NotInSignature(MeadowError):
     """A term uses a constructor the selected signature does not permit."""
 
 
-class ZeroNotInSignature(NotInSignature):
-    """The numeral 0 was requested over a signature without the constant 0."""
-
-
 class NotClosed(MeadowError):
     """A closed term was required but the term has free variables."""
 

@@ -24,12 +24,11 @@ one integer addition (Monagan & Pearce, CASC 2007).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
-from heapq import heapify, heappop, heappush
+from functools import partial, reduce
 from math import prod
 from typing import Container, Iterator, Mapping, NamedTuple
 
-from .evaluate import eval_total
+from .evaluate import eval_total, exact_str
 from .exceptions import ContainsInverse, NotClosed, NotInSignature, SizeLimit
 from .terms import (
     ZERO,
@@ -241,7 +240,10 @@ class PosPoly:
                         text = texts[e] = f"{name}^{e}" if e > 1 else name
                     factors.append(text)
             if (coeff := coeffs[key]) != 1 or not factors:
-                factors.insert(0, str(coeff))
+                try:
+                    factors.insert(0, str(coeff))
+                except ValueError:  # past the int-to-str digit limit
+                    factors.insert(0, exact_str(coeff))
             parts.append("*".join(factors))
         return " + ".join(parts)
 
@@ -351,33 +353,22 @@ def _factored(t: Term, names: tuple[str, ...], max_monomials: int) -> tuple[_Fac
 
 def _expand(factors: _Factors, max_monomials: int) -> PosPoly:
     """The product of ``factors``.  Equal factors are first raised to their
-    power, then the two smallest polynomials are multiplied until one is
-    left, which keeps the early products small."""
+    power, then the powers are multiplied smallest first, so the early
+    products stay small."""
     if len(factors) < 3:
         if len(factors) == 2:
             return factors[0].mul(factors[1], max_monomials)
         return factors[0] if factors else _UNIT
-    powers: list[list] = []  # [base, exponent]
+    mul = partial(PosPoly.mul, max_monomials=max_monomials)
+    groups: list[list[PosPoly]] = []  # equal factors
     for factor in factors:
-        for entry in powers:
-            if entry[0] == factor:
-                entry[1] += 1
+        for group in groups:
+            if group[0] == factor:
+                group.append(factor)
                 break
         else:
-            powers.append([factor, 1])
-    heap = []
-    for order, (base, exponent) in enumerate(powers):
-        power = base
-        for _ in range(exponent - 1):
-            power = power.mul(base, max_monomials)
-        heap.append((len(power), order, power))
-    heapify(heap)
-    order = len(heap)
-    while len(heap) > 1:
-        product = heappop(heap)[2].mul(heappop(heap)[2], max_monomials)
-        heappush(heap, (len(product), order, product))
-        order += 1
-    return heap[0][2]
+            groups.append([factor])
+    return reduce(mul, sorted([reduce(mul, group) for group in groups], key=len))
 
 
 def _cross_products(t: Term, u: Term, max_monomials: int) -> tuple[PosPoly, PosPoly]:

@@ -21,8 +21,6 @@ from enum import Enum
 from operator import is_
 from typing import Callable, TypeVar
 
-from .exceptions import ZeroNotInSignature
-
 VAR_NAME = re.compile(r"[a-z][a-z0-9_]*\Z")
 
 # reserved in the concrete syntax for the function form of the inverse
@@ -305,17 +303,16 @@ _SIGNATURE_CONSTRUCTORS: dict[SignatureId, frozenset[type]] = {
 }
 
 
-def numeral(n: int, sig: SignatureId = SignatureId.IAMDZ) -> Term:
+def numeral(n: int) -> Term:
     """The numeral term for the natural number ``n``.
 
-    0 maps to the constant 0 (only over signatures that have it), 1 to
-    the constant 1, and n >= 2 to the left-nested sum ((1 + 1) + ...) + 1.
+    0 maps to the constant 0, which a signature without it rejects through
+    ``conforms``; 1 maps to the constant 1, and n >= 2 to the left-nested
+    sum ((1 + 1) + ...) + 1.
     """
     if n < 0:
         raise ValueError("numerals are defined for natural numbers only")
     if n == 0:
-        if not sig.has_zero:
-            raise ZeroNotInSignature(f"numeral 0 does not exist over {sig.value}")
         return ZERO
     t: Term = ONE
     for _ in range(n - 1):

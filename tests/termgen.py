@@ -1,5 +1,7 @@
 """Seeded pseudo-random generation of terms and assignments for tests,
-and a reference evaluator to check the library's evaluator against.
+a reference evaluator to check the library's evaluator against, and
+pairs of terms derived from a theory's axioms to check its decision
+procedure against.
 
 Budget-driven recursive growth; the budget bounds the node count, so
 random_term(rng, sig, n) always satisfies term_size <= n and conforms
@@ -11,6 +13,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
+
+from hypothesis import strategies as st
 
 from meadows import (
     ONE,
@@ -27,7 +31,11 @@ from meadows import (
     Term,
     Var,
     Zero,
+    free_vars,
+    theory,
 )
+from meadows.terms import rebuild
+from meadows.theories import TheoryId
 
 
 def random_term(
@@ -119,3 +127,70 @@ def reference_value(
     if punch is None or punch is PunchId.DIV_NONZERO0 and a == 0:
         return Fraction(0)
     return None
+
+
+@st.composite
+def derived_pairs(draw, id: TheoryId, steps: int = 8, max_size: int = 8):
+    """A random term of ``id``'s signature and the term that ``steps``
+    rewrites with its equational axioms lead to.  Each step picks an axiom
+    and a direction that match somewhere, then one position where they
+    match; a variable of the new side that the match leaves unbound gets a
+    random term.  Equational logic derives every step (Birkhoff, 1935), so
+    the two terms are provably equal in ``id``.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    sig, variables = theory(id).signature, ("x", "y", "z")
+    rules = [r for eq in theory(id).equations for r in ((eq.lhs, eq.rhs), (eq.rhs, eq.lhs))]
+    start = t = random_term(rng, sig, max_size, variables)
+    for _ in range(steps):
+        positions = list(_positions(t, ()))
+        applicable = []
+        for pattern, result in rules:
+            found = []
+            for path, sub in positions:
+                binding: dict[str, Term] = {}
+                if _match(pattern, sub, binding):
+                    found.append((path, binding))
+            if found:
+                applicable.append((result, found))
+        result, found = rng.choice(applicable)
+        path, binding = rng.choice(found)
+        for name in free_vars(result):
+            binding.setdefault(name, random_term(rng, sig, 4, variables))
+        t = _replace(t, path, _instance(result, binding))
+    return start, t
+
+
+def _children(t: Term) -> tuple[Term, ...]:
+    return (t.left, t.right) if t._arity == 2 else (t.arg,) if t._arity else ()
+
+
+def _positions(t: Term, path: tuple[int, ...]):
+    """Each subterm of ``t`` with its path of child indices, ``t`` first."""
+    yield path, t
+    for i, child in enumerate(_children(t)):
+        yield from _positions(child, (*path, i))
+
+
+def _match(pattern: Term, t: Term, binding: dict[str, Term]) -> bool:
+    """Whether ``t`` is an instance of ``pattern``, extending ``binding`` to show it."""
+    if isinstance(pattern, Var):
+        return binding.setdefault(pattern.name, t) == t
+    return pattern.__class__ is t.__class__ and all(
+        _match(p, c, binding) for p, c in zip(_children(pattern), _children(t))
+    )
+
+
+def _instance(pattern: Term, binding: Mapping[str, Term]) -> Term:
+    """``pattern`` with each variable replaced at once by its bound term."""
+    if isinstance(pattern, Var):
+        return binding[pattern.name]
+    return rebuild(pattern, *(_instance(c, binding) for c in _children(pattern)))
+
+
+def _replace(t: Term, path: tuple[int, ...], new: Term) -> Term:
+    if not path:
+        return new
+    children = list(_children(t))
+    children[path[0]] = _replace(children[path[0]], path[1:], new)
+    return rebuild(t, *children)

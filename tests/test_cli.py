@@ -102,9 +102,10 @@ class TestNormalizeCommand:
 
     def test_no_open_form_for_full_meadows(self, capsys):
         # "--" lets expressions starting with a minus through argparse.
-        code, _, err = run(capsys, "normalize", "--sig", "imd", "--", "-x")
-        assert code == EXIT_ERROR
-        assert "no open-term normal form" in err
+        for sig, expr in [("imd", "-x"), ("imd", "x"), ("dmd", "x/y")]:
+            code, out, err = run(capsys, "normalize", "--sig", sig, "--", expr)
+            assert (code, out) == (EXIT_ERROR, "")
+            assert err == f"error: no open-term normal form for {sig}\n"
 
     @pytest.mark.parametrize(
         "sig, expr",

@@ -44,7 +44,7 @@ from meadows import (
 )
 from meadows.evaluate import _evaluator
 from meadows.terms import Term
-from termgen import random_term, reference_value
+from termgen import derived_pairs, random_term, reference_value
 
 X = Var("x")
 Y = Var("y")
@@ -1058,6 +1058,22 @@ class TestDecideDivisive:
         direct = decide_divisive(t, u, TheoryId.DAMD)
         translated = decide_iamd(div_to_inv(t), div_to_inv(u))
         assert direct.verdict == translated.verdict
+
+
+DERIVED_PAIR_DECIDERS = {
+    TheoryId.IAMD: decide_iamd,
+    TheoryId.RATIAZ_GIL: decide_iamdz_gil,  # from the equational axioms only
+    TheoryId.DAMD: lambda t, u: decide_divisive(t, u, TheoryId.DAMD),
+    TheoryId.RATDAZ_GIL: lambda t, u: decide_divisive(t, u, TheoryId.RATDAZ_GIL),
+}
+
+
+@pytest.mark.parametrize("theory", list(DERIVED_PAIR_DECIDERS), ids=lambda id: id.value)
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_pairs_derived_from_the_axioms_are_proved(theory, data):
+    t, u = data.draw(derived_pairs(theory))
+    assert DERIVED_PAIR_DECIDERS[theory](t, u).verdict
 
 
 class TestEvidenceRendering:
