@@ -63,11 +63,9 @@ print("x^-1 classifies", classify_def(t).value,
 
 # The additive rule needs care.  Read literally, "a non-zero summand
 # makes the sum non-zero" would classify 1 + 0^-1 as non-zero, yet the
-# term is undefined.  The default rule therefore also requires the
-# other summand to be defined; the literal rule stays available for
-# comparison.
+# term is undefined.  The rule therefore also requires the other
+# summand to be defined, and 1 + 0^-1 falls outside Def.
 t = parse_term("1 + 0^-1")
 print()
-print("1 + 0^-1 guarded:  ", classify_def(t).value)
-print("1 + 0^-1 unguarded:", classify_def(t, unguarded_addition=True).value)
-print("1 + 0^-1 evaluates:", eval_punched(t, {}, PunchId.INV0))
+print("1 + 0^-1 classifies:", classify_def(t).value)
+print("1 + 0^-1 evaluates: ", eval_punched(t, {}, PunchId.INV0))

@@ -34,8 +34,6 @@ from .terms import RESERVED_WORDS, VAR_NAME, SignatureId, Term, Zero, conforms, 
 from .theories import TheoryId
 from .translate import div_to_inv, inv_to_div
 
-_NORMALIZE_SIGS = ("iamd", "iamdz", "imd", "dmd", "damd", "damdz")
-
 EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_ERROR = 2
@@ -43,6 +41,7 @@ EXIT_UNDEFINED = 3
 
 
 _OPEN_THEORIES = (TheoryId.IAMD, TheoryId.DAMD, TheoryId.RATIAZ_GIL, TheoryId.RATDAZ_GIL)
+_THEORY_NAMES = [theory.value for theory in _OPEN_THEORIES]
 
 
 def _theory(text: str) -> Union[TheoryId, SignatureId]:
@@ -53,11 +52,10 @@ def _theory(text: str) -> Union[TheoryId, SignatureId]:
             if sig.value == sig_name:
                 return sig
         raise argparse.ArgumentTypeError(f"unknown signature {sig_name!r} in {text!r}")
-    for theory in _OPEN_THEORIES:
-        if theory.value == text:
-            return theory
+    if text in _THEORY_NAMES:
+        return TheoryId(text)
     raise argparse.ArgumentTypeError(
-        f"{text!r} is not iamd, damd, ratiaz-gil, ratdaz-gil, or closed:SIG"
+        f"{text!r} is not {', '.join(_THEORY_NAMES)}, or closed:SIG"
     )
 
 
@@ -124,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("normalize", parents=[bounded], help="normal form of a term")
     p.add_argument("expr")
-    p.add_argument("--sig", choices=_NORMALIZE_SIGS, required=True)
+    p.add_argument("--sig", choices=[s.value for s in SignatureId], required=True)
 
     p = sub.add_parser("eval", parents=[formatted], help="exact evaluation")
     p.add_argument("expr")
@@ -140,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--theory",
         type=_theory,
         required=True,
-        metavar="{iamd|damd|ratiaz-gil|ratdaz-gil|closed:SIG}",
+        metavar="{" + "|".join([*_THEORY_NAMES, "closed:SIG"]) + "}",
         help="closed:SIG compares exact rational values, so it decides the "
         "rational specifications (ratzi, ratiaz, ...), not the bare theory of SIG",
     )

@@ -296,7 +296,7 @@ class PolyFraction(NamedTuple):
 
 
 # An unexpanded product of positive polynomials, none of them 1.
-_Factors = tuple[PosPoly, ...]
+_Factors = list[PosPoly]
 
 
 def split_inverse(t: Term, max_monomials: int = DEFAULT_MAX_MONOMIALS) -> PolyFraction:
@@ -325,12 +325,16 @@ def _factored(t: Term, names: tuple[str, ...], max_monomials: int) -> tuple[_Fac
     if max_monomials < 1:
         raise ValueError(f"max_monomials must be at least 1, not {max_monomials}")
     layout = (names, _WIDTH)
-    leaves = {v: ((PosPoly._make({_pack(((v, 1),), layout): 1}, layout, 1),), ()) for v in names}
+    leaves = {v: PosPoly._make({_pack(((v, 1),), layout): 1}, layout, 1) for v in names}
 
     def visit(node: Term, a=None, b=None) -> tuple[_Factors, _Factors]:
         kind = node.__class__
         if kind is Mul:
-            return a[0] + b[0], a[1] + b[1]
+            # In place, so t^n is linear: fold hands each result to its parent alone, save a
+            # power's base, which each link only reads; a fold memoizing shared nodes must copy.
+            a[0].extend(b[0])
+            a[1].extend(b[1])
+            return a
         if kind is Inv:
             return a[1], a[0]
         if kind is Add:
@@ -340,12 +344,12 @@ def _factored(t: Term, names: tuple[str, ...], max_monomials: int) -> tuple[_Fac
             if len(num) > max_monomials:
                 raise SizeLimit(len(num), max_monomials)
             if not (a[1] or b[1]):
-                return (num,), ()
-            return (num,), (a_den.mul(b_den, max_monomials),)
+                return [num], []
+            return [num], [a_den.mul(b_den, max_monomials)]
         if kind is One:
-            return (), ()
+            return [], []
         if kind is Var:
-            return leaves[node.name]
+            return [leaves[node.name]], []
         raise NotInSignature(f"{kind.__name__} does not occur in the iamd signature")
 
     return fold(t, visit)
@@ -383,7 +387,7 @@ def _cross_products(t: Term, u: Term, max_monomials: int) -> tuple[PosPoly, PosP
     names = tuple(sorted({*free_vars(t), *free_vars(u)}))
     t_num, t_den = _factored(t, names, max_monomials)
     u_num, u_den = _factored(u, names, max_monomials)
-    right = list(u_num + t_den)
+    right = u_num + t_den
     left = []
     for factor in t_num + u_den:
         for i, other in enumerate(right):
@@ -392,7 +396,7 @@ def _cross_products(t: Term, u: Term, max_monomials: int) -> tuple[PosPoly, PosP
                 break
         else:
             left.append(factor)
-    return _expand(tuple(left), max_monomials), _expand(tuple(right), max_monomials)
+    return _expand(left, max_monomials), _expand(right, max_monomials)
 
 
 def poly_normal(t: Term, max_monomials: int = DEFAULT_MAX_MONOMIALS) -> PosPoly:

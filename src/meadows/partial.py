@@ -15,12 +15,9 @@ with the inverse preserving Nz only.  Membership in Def
 guarantees a defined value; membership in Nz additionally guarantees a
 positive one.
 
-The literal Nz rule for sums ("a sum with one non-zero summand is
-non-zero") does not look at the other summand at all, so it would
-accept 1 + 0^-1, which is undefined under the inverse punch.  The
-default here guards the rule by requiring the other summand to be in
-Def; the literal unguarded rule stays available behind a flag for
-comparison.
+A sum is in Nz when one summand is in Nz and the other in Def.  The
+literal rule, which ignores the other summand, is unsound: it puts
+1 + 0^-1, undefined under the inverse punch, in Nz.
 """
 
 from __future__ import annotations
@@ -90,14 +87,13 @@ def eval_punched(t: Term, env: Mapping[str, Fraction], punch: PunchId) -> Partia
     return UNDEFINED if punched else Defined(Fraction(p, q))
 
 
-def classify_def(t: Term, unguarded_addition: bool = False) -> DefClass:
+def classify_def(t: Term) -> DefClass:
     """Classify a term by the inductive Nz/Def rules for the inverse punch.
 
     Free variables classify as Def only: a variable may be assigned 0,
-    so it cannot be placed in Nz.  With ``unguarded_addition`` the
-    literal sum rule is used, which ignores the other summand and is
-    unsound (it accepts 1 + 0^-1); the default requires the other
-    summand to be in Def.
+    so it cannot be placed in Nz.  A sum is in Nz when one summand is in
+    Nz and the other in Def; the literal rule, which ignores the other
+    summand, would put the undefined 1 + 0^-1 in Nz.
     """
     if not conforms(t, SignatureId.IAMDZ):
         raise NotInSignature("the definedness criterion applies to iamdz terms")
@@ -107,10 +103,7 @@ def classify_def(t: Term, unguarded_addition: bool = False) -> DefClass:
         if kind is One:
             return DefClass.IN_NZ
         if kind is Add:
-            if unguarded_addition:
-                if a is DefClass.IN_NZ or b is DefClass.IN_NZ:
-                    return DefClass.IN_NZ
-            elif (a is DefClass.IN_NZ and b.in_def) or (b is DefClass.IN_NZ and a.in_def):
+            if (a is DefClass.IN_NZ and b.in_def) or (b is DefClass.IN_NZ and a.in_def):
                 return DefClass.IN_NZ
         elif kind is Mul:
             if a is DefClass.IN_NZ and b is DefClass.IN_NZ:

@@ -253,20 +253,6 @@ class NumeralStyle(Enum):
     STRUCTURAL = "structural"
 
 
-def numeral_value(t: Term) -> Optional[int]:
-    """The n with t = numeral(n), or None if t is not a numeral."""
-    count = 0
-    node = t
-    while isinstance(node, Add) and isinstance(node.right, One):
-        count += 1
-        node = node.left
-    if isinstance(node, One):
-        return count + 1
-    if isinstance(node, Zero) and count == 0:
-        return 0
-    return None
-
-
 # Precedence levels for printing; higher binds tighter.
 _ADD, _MUL, _NEG, _POSTFIX, _ATOM = 1, 2, 3, 4, 5
 _INFIX_TEXT = {Add: (" + ", _ADD), Mul: (" * ", _MUL), Div: (" / ", _MUL)}

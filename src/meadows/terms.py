@@ -273,22 +273,6 @@ class SignatureId(Enum):
     def constructors(self) -> frozenset[type]:
         return _SIGNATURE_CONSTRUCTORS[self]
 
-    @property
-    def has_zero(self) -> bool:
-        return Zero in _SIGNATURE_CONSTRUCTORS[self]
-
-    @property
-    def has_neg(self) -> bool:
-        return Neg in _SIGNATURE_CONSTRUCTORS[self]
-
-    @property
-    def has_inv(self) -> bool:
-        return Inv in _SIGNATURE_CONSTRUCTORS[self]
-
-    @property
-    def has_div(self) -> bool:
-        return Div in _SIGNATURE_CONSTRUCTORS[self]
-
 
 _RING = frozenset({Zero, One, Add, Mul, Neg})
 

@@ -51,16 +51,16 @@ def _grow(rng: random.Random, sig: SignatureId, budget: int, variables: tuple[st
     ops = []
     if budget >= 3:
         ops += ["add"] * 3 + ["mul"] * 3
-        if sig.has_div:
+        if Div in sig.constructors:
             ops += ["div"] * 2
     if budget >= 2:
-        if sig.has_inv:
+        if Inv in sig.constructors:
             ops += ["inv"] * 2
-        if sig.has_neg:
+        if Neg in sig.constructors:
             ops.append("neg")
     if not ops or rng.random() < 0.2:
         leaves = ["one"]
-        if sig.has_zero:
+        if Zero in sig.constructors:
             leaves.append("zero")
         if variables:
             leaves += ["var", "var"]

@@ -75,6 +75,10 @@ class TestNormalizeCommand:
         assert code == EXIT_OK
         assert out == "-1/2\n"
 
+    def test_closed_commutative_ring(self, capsys):
+        for expr, value in [("1 + -1", "0"), ("-(1+1)", "-2")]:
+            assert run(capsys, "normalize", "--sig", "cr", "--", expr) == (EXIT_OK, value + "\n", "")
+
     def test_closed_divisive_vanishing_divisor(self, capsys):
         code, out, _ = run(capsys, "normalize", "1 / (1 + -1)", "--sig", "dmd")
         assert code == EXIT_OK
@@ -102,7 +106,7 @@ class TestNormalizeCommand:
 
     def test_no_open_form_for_full_meadows(self, capsys):
         # "--" lets expressions starting with a minus through argparse.
-        for sig, expr in [("imd", "-x"), ("imd", "x"), ("dmd", "x/y")]:
+        for sig, expr in [("imd", "-x"), ("imd", "x"), ("dmd", "x/y"), ("cr", "x")]:
             code, out, err = run(capsys, "normalize", "--sig", sig, "--", expr)
             assert (code, out) == (EXIT_ERROR, "")
             assert err == f"error: no open-term normal form for {sig}\n"
@@ -322,6 +326,10 @@ class TestDecideCommand:
         with pytest.raises(SystemExit) as info:
             main(["decide", "x", "x", "--theory", "nope"])
         assert info.value.code == 2
+        with pytest.raises(SystemExit) as info:
+            main(["decide", "--theory", "closed:nope", "1", "1"])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.endswith("unknown signature 'nope' in 'closed:nope'\n")
 
     def test_signature_error(self, capsys):
         code, _, err = run(capsys, "decide", "--theory", "iamd", "--", "-x", "x")

@@ -307,8 +307,9 @@ class TestDecideIamd:
         (decide_iamd, "iamd", Div(X, X)),
         (decide_iamdz_gil, "iamdz", Neg(X)),
         (decide_iamdz_gil, "iamdz", Div(X, X)),
+        (lambda t, u: decide_divisive(t, u, TheoryId.RATDAZ_GIL), "damdz", Neg(X)),
     ],
-    ids=["iamd-neg", "iamd-zero", "iamd-div", "iamdz-neg", "iamdz-div"],
+    ids=["iamd-neg", "iamd-zero", "iamd-div", "iamdz-neg", "iamdz-div", "damdz-neg"],
 )
 @pytest.mark.parametrize("side", ["lhs", "rhs"])
 @pytest.mark.parametrize("depth", [0, 50])

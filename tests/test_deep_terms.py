@@ -59,7 +59,6 @@ from meadows import (
     inv_to_div,
     is_closed,
     numeral,
-    numeral_value,
     parse,
     parse_term,
     poly_normal,
@@ -156,7 +155,7 @@ def test_structure_functions(deep):
     sizes = {"numeral": 2 * DEPTH - 1, "power": 2 * DEPTH + 1, "neg": DEPTH + 1,
              "inv": DEPTH + 1, "div": 2 * DEPTH + 1}
     assert term_size(t) == sizes[kind]
-    assert numeral_value(t) == (DEPTH if kind == "numeral" else None)
+    assert (render(t) == str(DEPTH)) == (kind == "numeral")
     assert eval_total(substitute(t, "x", numeral(2)), {}) == value
     assert eval_total(power(t, 2), {"x": TWO}) == value**2
 

@@ -25,6 +25,7 @@ from meadows import (
     SizeLimit,
     Var,
     ZERO,
+    Zero,
     closed_normal,
     conforms,
     eval_total,
@@ -54,11 +55,15 @@ class TestPosPoly:
         p = PosPoly.constant(3)
         assert p.is_constant
         assert p.constant_value() == 3
+        assert (PosPoly.constant(1) == 1) is False
 
     def test_variable(self):
         p = PosPoly.variable("x")
         assert p.variables == ("x",)
         assert not p.is_constant
+        assert repr(p) == "PosPoly(x)"
+        with pytest.raises(ValueError):
+            p.constant_value()
 
     def test_rejects_zero_coefficient(self):
         with pytest.raises(ValueError):
@@ -612,8 +617,8 @@ class TestClosedNormal:
         rng = random.Random(seed)
         t = random_term(rng, sig, max_size=16)
         carrier = (
-            Carrier.POSITIVE if not sig.has_zero
-            else Carrier.NON_NEGATIVE if not sig.has_neg
+            Carrier.POSITIVE if Zero not in sig.constructors
+            else Carrier.NON_NEGATIVE if Neg not in sig.constructors
             else Carrier.ALL
         )
         normal = closed_normal(t, sig)

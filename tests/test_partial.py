@@ -161,8 +161,6 @@ class TestClassifyDef:
     def test_guarded_addition_blocks_undefined_summand(self):
         t = Add(ONE, Inv(ZERO))
         assert classify_def(t) is DefClass.OUTSIDE
-        # The literal unguarded rule classifies it nonzero, unsoundly:
-        assert classify_def(t, unguarded_addition=True) is DefClass.IN_NZ
         assert eval_punched(t, {}, PunchId.INV0) is UNDEFINED
 
     def test_rejects_non_iamdz_terms(self):

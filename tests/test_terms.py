@@ -49,6 +49,8 @@ X, Y = Var("x"), Var("y")
 def test_numeral_base_cases():
     assert numeral(0) == ZERO
     assert numeral(1) == ONE
+    with pytest.raises(ValueError):
+        numeral(-1)
 
 
 def test_numeral_left_nested():
@@ -64,6 +66,8 @@ def test_numeral_zero_needs_zero_constant():
 def test_power_unfolds_iterated_product():
     assert power(X, 0) == ONE
     assert power(X, 2) == Mul(Mul(ONE, X), X)
+    with pytest.raises(ValueError):
+        power(X, -1)
 
 
 def test_power_of_one_evaluates_to_one():
@@ -126,7 +130,7 @@ def test_operator_sugar():
 
 @given(st.integers(min_value=0, max_value=40), st.sampled_from(list(SignatureId)))
 def test_numeral_conforms(n, sig):
-    assert conforms(numeral(n), sig) == (n > 0 or sig.has_zero)
+    assert conforms(numeral(n), sig) == (n > 0 or Zero in sig.constructors)
 
 
 @given(st.integers(min_value=0, max_value=2**31), st.integers(min_value=0, max_value=6))
@@ -168,6 +172,7 @@ def test_is_closed_and_size():
 def test_terms_are_immutable_and_hashable():
     t = Mul(X, Inv(X))
     assert hash(t) == hash(Mul(X, Inv(X)))
+    assert (X == "x") is False
     with pytest.raises(AttributeError):
         t.left = ONE
 
